@@ -7,9 +7,10 @@ Subcommands:
 
 Problems are JSON files (see README); the literal spec path ``entangling``
 loads the built-in two-qubit maximal-entangling demo.  Exit codes:
-0 success, 2 malformed problem, 3 algebra contract error, 4 optimizer did
-not converge.  The ``SYMFLOW_TOL`` environment variable overrides the
-global rank tolerance.
+0 success, 2 malformed problem or bad ``SYMFLOW_TOL``, 3 algebra contract
+error or failed algebra computation, 4 optimizer did not converge.  The
+``SYMFLOW_TOL`` environment variable overrides the global rank tolerance;
+it must be a finite number in (0, 1).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, liealg, natgrad, pauli, symgrad
-from .nummat import ContractViolation, trace_inner
+from .nummat import ContractViolation, rank_tol, trace_inner
 from .tangent import SymmetrySpec
 
 
@@ -167,15 +168,16 @@ def problem_from_dict(data: dict) -> Problem:
     opt = None
     if "optimizer" in data:
         block = data["optimizer"]
+        if not isinstance(block, dict):
+            raise SpecError(f"bad optimizer block {block!r}")
         opt = OptimizerConfig(
             method=block.get("method", "gd"),
-            lr=float(block.get("lr", 0.5)),
-            max_iter=int(block.get("max_iter", 2000)),
-            tol=float(block.get("tol", 1e-9)),
+            lr=_optimizer_number(block, "lr", 0.5),
+            max_iter=block.get("max_iter", 2000),
+            tol=_optimizer_number(block, "tol", 1e-9),
             seed=block.get("seed"),
         )
-        if opt.method not in ("gd", "qng", "cqng"):
-            raise SpecError(f"unknown optimizer method {opt.method!r}")
+        check_optimizer(opt)
         if opt.method == "cqng" and sym is None:
             raise SpecError("cqng requires a symmetry block")
 
@@ -183,6 +185,33 @@ def problem_from_dict(data: dict) -> Problem:
         raise SpecError("problem needs an initial_state")
     resolve_initial_state(data["initial_state"], n)  # validate eagerly
     return Problem(c, data["initial_state"], sym, cost, opt)
+
+
+def _optimizer_number(block: dict, key: str, default: float) -> float:
+    try:
+        return float(block.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"optimizer {key} must be a number, got {block[key]!r}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_optimizer(cfg: OptimizerConfig) -> None:
+    """Reject optimizer settings the run cannot use: ``seed`` an int or
+    None, ``lr`` finite and > 0, ``tol`` finite and >= 0 (0 runs all
+    ``max_iter`` steps), ``max_iter`` an int >= 0."""
+    if cfg.method not in ("gd", "qng", "cqng"):
+        raise SpecError(f"unknown optimizer method {cfg.method!r}")
+    if cfg.seed is not None and not _is_int(cfg.seed):
+        raise SpecError(f"optimizer seed must be an integer or null, got {cfg.seed!r}")
+    if not (np.isfinite(cfg.lr) and cfg.lr > 0):
+        raise SpecError(f"optimizer lr must be finite and > 0, got {cfg.lr!r}")
+    if not (np.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise SpecError(f"optimizer tol must be finite and >= 0, got {cfg.tol!r}")
+    if not _is_int(cfg.max_iter) or cfg.max_iter < 0:
+        raise SpecError(f"optimizer max_iter must be an integer >= 0, got {cfg.max_iter!r}")
 
 
 def entangling_problem(seed: int = 0) -> Problem:
@@ -273,6 +302,7 @@ def cmd_optimize(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     lr = args.lr if args.lr is not None else cfg.lr
     max_iter = args.max_iter if args.max_iter is not None else cfg.max_iter
+    check_optimizer(OptimizerConfig(cfg.method, lr, max_iter, cfg.tol, seed))
     c = problem.circuit
     psi0 = problem.initial_state(seed)
 
@@ -339,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        rank_tol()  # a bad SYMFLOW_TOL fails here, before any work
         return args.func(args)
-    except ContractViolation as exc:
+    except (ContractViolation, liealg.AlgebraFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SpecError, ValueError, KeyError, OSError) as exc:

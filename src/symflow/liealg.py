@@ -4,9 +4,11 @@ projection, and the four-way equivariant/vertical decomposition.
 
 Subspaces carry an orthonormal basis under the normalized trace inner
 product; all linear algebra runs on real coordinate vectors with respect
-to a fixed orthonormal skew-Hermitian basis of u(d) (i times Pauli words
-for power-of-two d, i times generalized Gell-Mann matrices plus the
-normalized identity otherwise).
+to the fixed orthonormal skew-Hermitian basis i*P of u(d), P running over
+the Pauli words in ``pauli.all_words`` order.  Coordinates exist for
+d = 2**n only: ``coords``, ``from_coords`` and ``skew_basis`` raise
+ValueError for any other d.  They go through the tensorized Pauli
+transform, O(n d^2) per matrix, and build no basis array.
 """
 from __future__ import annotations
 
@@ -28,6 +30,11 @@ from .nummat import (
 
 SUBALGEBRA_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
+
+
+class AlgebraFailure(RuntimeError):
+    """Raised when an algebra computation ends in an inconsistent result,
+    typically because the rank tolerance cuts through a spectrum."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,44 +73,29 @@ def subspace(d: int, mats, validate: bool = True) -> Subspace:
 
 @lru_cache(maxsize=8)
 def skew_basis(d: int) -> np.ndarray:
-    """Fixed orthonormal skew-Hermitian basis of u(d), shape (d*d, d, d)."""
-    n = d.bit_length() - 1
-    if 2**n == d:
-        mats = [1j * pauli.word_matrix(w) for w in pauli.all_words(n)]
-    else:
-        mats = [1j * np.eye(d, dtype=complex)]
-        scale = np.sqrt(d / 2.0)
-        for j in range(d):
-            for k in range(j + 1, d):
-                sym = np.zeros((d, d), dtype=complex)
-                sym[j, k] = sym[k, j] = 1.0
-                asym = np.zeros((d, d), dtype=complex)
-                asym[j, k] = -1j
-                asym[k, j] = 1j
-                mats.append(1j * scale * sym)
-                mats.append(1j * scale * asym)
-        for l in range(1, d):
-            diag = np.zeros((d, d), dtype=complex)
-            diag[:l, :l] = np.eye(l)
-            diag[l, l] = -l
-            mats.append(1j * diag * np.sqrt(d / (l * (l + 1))))
-    stack = np.stack(mats)
+    """Fixed orthonormal skew-Hermitian basis i*P of u(d), d = 2**n,
+    shape (d*d, d, d)."""
+    stack = from_coords(np.eye(d * d), d)
     stack.setflags(write=False)
     return stack
 
 
 def coords(x, d: int | None = None) -> np.ndarray:
-    """Real coordinates of a skew-Hermitian matrix in the fixed basis."""
+    """Real coordinates of a skew-Hermitian matrix, or of a stack of them,
+    in the fixed basis: shape (..., d, d) -> (..., d*d)."""
     x = np.asarray(x, dtype=complex)
-    d = x.shape[0] if d is None else d
-    basis = skew_basis(d)
-    # trace_inner(e_a, x) = Re tr(e_a^dag x)/d for every basis element at once
-    return np.real(np.einsum("aij,ij->a", basis.conj(), x)) / d
+    if d is not None and x.shape[-2:] != (d, d):
+        raise ValueError(f"matrix of shape {x.shape} in u({d})")
+    # trace_inner(i*P, x) = Re tr(-i P x)/d = Im tr(P x)/d
+    return pauli.pauli_transform(x).imag
 
 
 def from_coords(vec, d: int) -> np.ndarray:
+    """Inverse of :func:`coords`: shape (..., d*d) -> (..., d, d)."""
     vec = np.asarray(vec, dtype=float)
-    return np.tensordot(vec, skew_basis(d), axes=(0, 0))
+    if vec.shape[-1:] != (d * d,):
+        raise ValueError(f"coordinate vector of shape {vec.shape} for u({d})")
+    return 1j * pauli.inverse_pauli_transform(vec)
 
 
 def coords_rows(sub: Subspace) -> np.ndarray:
@@ -111,7 +103,7 @@ def coords_rows(sub: Subspace) -> np.ndarray:
     d = sub.dim_ambient
     if sub.dim == 0:
         return np.zeros((0, d * d))
-    return np.stack([coords(m, d) for m in sub.basis])
+    return coords(np.stack(sub.basis), d)
 
 
 def _fix_sign(row: np.ndarray) -> np.ndarray:
@@ -126,8 +118,8 @@ def subspace_from_rows(rows, d: int) -> Subspace:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size == 0 or rows.shape[0] == 0:
         return Subspace(d, ())
-    mats = tuple(from_coords(_fix_sign(r), d) for r in rows)
-    return Subspace(d, mats)
+    mats = from_coords(np.stack([_fix_sign(r) for r in rows]), d)
+    return Subspace(d, tuple(mats))
 
 
 def full_space(d: int) -> Subspace:
@@ -190,7 +182,7 @@ def lie_closure(generators) -> Subspace:
     while frontier:
         rounds += 1
         if rounds > 10 * d * d:
-            raise RuntimeError("Lie closure did not stabilize within the round cap")
+            raise AlgebraFailure("Lie closure did not stabilize within the round cap")
         fresh: list[np.ndarray] = []
         snapshot = list(basis_mats)
         for a in snapshot:
@@ -202,12 +194,16 @@ def lie_closure(generators) -> Subspace:
 
 
 def _ad_matrix(y: np.ndarray, d: int) -> np.ndarray:
-    """Real matrix of x -> [y, x] in fixed coordinates, shape (d*d, d*d)."""
-    basis = skew_basis(d)
+    """Real matrix of x -> [y, x] in fixed coordinates, shape (d*d, d*d).
+
+    Built d columns at a time: a stack of all d*d basis commutators would
+    hold d**4 complex entries next to the result.
+    """
     cols = []
-    for e in basis:
+    for unit_rows in np.eye(d * d).reshape(d, d, d * d):
+        e = from_coords(unit_rows, d)
         cols.append(coords(y @ e - e @ y, d))
-    return np.stack(cols, axis=1)
+    return np.concatenate(cols).T
 
 
 def commutant(sub: Subspace, d: int | None = None) -> Subspace:
@@ -227,18 +223,10 @@ def center(sub: Subspace) -> Subspace:
     if not is_subalgebra(sub):
         warnings.warn("center() called on a subspace that is not bracket-closed")
     d = sub.dim_ambient
-    blocks = []
-    for y in sub.basis:
-        cols = [coords(y @ v - v @ y, d) for v in sub.basis]
-        blocks.append(np.stack(cols, axis=1))
+    mats = np.stack(sub.basis)
+    blocks = [coords(y @ mats - mats @ y, d).T for y in sub.basis]
     coeff_rows = nullspace_real(np.vstack(blocks))
-    mats = []
-    for row in coeff_rows:
-        mats.append(sum(c * v for c, v in zip(row, sub.basis)))
-    if not mats:
-        return Subspace(d, ())
-    rows = np.stack([_fix_sign(coords(m, d)) for m in mats])
-    return subspace_from_rows(rows, d)
+    return subspace_from_rows(coeff_rows @ coords_rows(sub), d)
 
 
 def complement_within(sub: Subspace, inner: Subspace) -> Subspace:
@@ -279,7 +267,7 @@ def four_decomposition(t: Subspace, d: int | None = None) -> FourDecomposition:
     r = subspace_from_rows(nullspace_real(span_rows), d)
     total = r.dim + ut_centerless.dim + z.dim + t_centerless.dim
     if total != d * d:
-        raise RuntimeError(f"decomposition dimensions sum to {total}, expected {d * d}")
+        raise AlgebraFailure(f"decomposition dimensions sum to {total}, expected {d * d}")
     return FourDecomposition(r, ut_centerless, z, t_centerless)
 
 
@@ -320,12 +308,8 @@ def span_distance(a: Subspace, b: Subspace) -> float:
 
 def subspace_report(sub: Subspace, label: str = "subspace") -> list[str]:
     """Human-readable report: dimension header plus one Pauli-sum line per
-    basis element (power-of-two dimensions only)."""
+    basis element."""
     lines = [f"{label}: dim {sub.dim}"]
-    d = sub.dim_ambient
     for m in sub.basis:
-        if d & (d - 1) == 0 and d > 0:
-            lines.append("  " + pauli.format_pauli_sum(pauli.pauli_decompose(m)))
-        else:
-            lines.append("  " + np.array2string(m, precision=6))
+        lines.append("  " + pauli.format_pauli_sum(pauli.pauli_decompose(m)))
     return lines

@@ -20,9 +20,18 @@ class ContractViolation(ValueError):
 
 
 def rank_tol() -> float:
-    """Global relative rank tolerance, overridable via ``SYMFLOW_TOL``."""
+    """Global relative rank tolerance, overridable via ``SYMFLOW_TOL``,
+    which must be a finite number in (0, 1)."""
     value = os.environ.get("SYMFLOW_TOL")
-    return float(value) if value else DEFAULT_RANK_TOL
+    if not value:
+        return DEFAULT_RANK_TOL
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"SYMFLOW_TOL={value!r} must be a finite number in (0, 1)")
+    return tol
 
 
 def _resolve_tol(rel_tol: float | None) -> float:
@@ -114,7 +123,8 @@ def nullspace_real(m, rel_tol: float | None = None) -> np.ndarray:
     n = m.shape[1]
     if m.shape[0] == 0 or not np.any(np.abs(m) > ZERO_MATRIX_FLOOR):
         return np.eye(n)
-    _, svals, vh = np.linalg.svd(m)
+    # a tall matrix's thin SVD already returns the full V
+    _, svals, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     cut = max(_resolve_tol(rel_tol) * svals[0], ZERO_MATRIX_FLOOR)
     rank = int(np.sum(svals > cut))
     return vh[rank:]
@@ -125,7 +135,7 @@ def orthonormal_rows(m, rel_tol: float | None = None) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] == 0 or not np.any(np.abs(m) > ZERO_MATRIX_FLOOR):
         return np.zeros((0, m.shape[1]))
-    _, svals, vh = np.linalg.svd(m)
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)  # the rank is at most min(m.shape)
     cut = max(_resolve_tol(rel_tol) * svals[0], ZERO_MATRIX_FLOOR)
     rank = int(np.sum(svals > cut))
     return vh[:rank]

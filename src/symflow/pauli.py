@@ -187,21 +187,73 @@ def all_words(n_qubits: int) -> tuple[str, ...]:
     return tuple(sorted(words))
 
 
+def qubit_count(d: int) -> int:
+    """n for d = 2**n (n >= 1); ValueError for any other dimension."""
+    n = int(d).bit_length() - 1
+    if n < 1 or 2**n != d:
+        raise ValueError(f"dimension {d} is not a power of 2")
+    return n
+
+
+# One qubit's entry pair (i, j), flattened as 2*i + j, to its Pauli letter
+# s in IXYZ order: tr(s m)/2 = sum_ij s[j, i] m[i, j] / 2; and back.
+_PAIR_TO_LETTER = np.stack([PAULI_1Q[ch].T.ravel() for ch in "IXYZ"]) / 2
+_LETTER_TO_PAIR = np.stack([PAULI_1Q[ch].ravel() for ch in "IXYZ"], axis=1)
+
+
+def _per_qubit(single: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Apply a 4x4 map to every base-4 digit of the leading axis of x,
+    shape (4**n, B) -> (B, 4**n).  Each pass maps the leading digit and
+    rotates it behind the others, so after n passes the digits are back
+    in order with the batch axis in front."""
+    for _ in range(n):
+        x = (single @ x.reshape(4, -1)).T
+    return x.reshape(-1, 4**n)
+
+
+def pauli_transform(m) -> np.ndarray:
+    """tr(P m) / d for every word P in ``all_words`` order, in O(n d^2).
+
+    Takes a d x d matrix or any stack of them, shape (..., d, d), and
+    returns shape (..., d*d); d must be 2**n.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got {m.shape}")
+    lead, d = m.shape[:-2], m.shape[-1]
+    n = qubit_count(d)
+    # (batch, i_0..i_{n-1}, j_0..j_{n-1}) -> (i_0, j_0, ..., i_{n-1}, j_{n-1}, batch)
+    order = [a for k in range(n) for a in (1 + k, 1 + n + k)] + [0]
+    x = m.reshape(-1, *(2,) * (2 * n)).transpose(order).reshape(d * d, -1)
+    return _per_qubit(_PAIR_TO_LETTER, x, n).reshape(*lead, d * d)
+
+
+def inverse_pauli_transform(c) -> np.ndarray:
+    """sum_P c_P P for coefficients in ``all_words`` order: shape
+    (..., d*d) -> (..., d, d), the inverse of :func:`pauli_transform`."""
+    c = np.asarray(c)
+    lead, size = c.shape[:-1], c.shape[-1]
+    n = (size.bit_length() - 1) // 2
+    if n < 1 or 4**n != size:
+        raise ValueError(f"{size} coefficients is not 4**n for n >= 1")
+    x = _per_qubit(_LETTER_TO_PAIR, c.reshape(-1, size).T, n)
+    # (batch, i_0, j_0, ..., i_{n-1}, j_{n-1}) -> (batch, i_0..i_{n-1}, j_0..j_{n-1})
+    order = [0] + [1 + 2 * k for k in range(n)] + [2 + 2 * k for k in range(n)]
+    d = 2**n
+    return x.reshape(-1, *(2,) * (2 * n)).transpose(order).reshape(*lead, d, d)
+
+
 def pauli_decompose(m) -> PauliSum:
     """Project a matrix onto Pauli words: coeff(P) = tr(P m) / d."""
     m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got {m.shape}")
-    n = d.bit_length() - 1
-    if 2**n != d:
-        raise ValueError(f"dimension {d} is not a power of 2")
-    coeffs = {}
-    for word in all_words(n):
-        c = complex(np.sum(word_matrix(word).T * m)) / d  # tr(P m)/d
-        if abs(c) > COEFF_PRUNE_TOL:
-            coeffs[word] = c
-    return pauli_sum(n, coeffs) if coeffs else PauliSum(n, ())
+    coeffs = pauli_transform(m)
+    n = qubit_count(m.shape[0])
+    words = all_words(n)
+    # all_words is sorted, so this is the canonical, pruned term order
+    kept = np.flatnonzero(np.abs(coeffs) > COEFF_PRUNE_TOL)
+    return PauliSum(n, tuple((words[a], complex(coeffs[a])) for a in kept))
 
 
 @dataclass(frozen=True)

@@ -202,15 +202,14 @@ def tangent_report(vectors, psi) -> list[str]:
 
     psi = np.asarray(psi, dtype=complex)
     d = psi.size
-    basis = liealg.skew_basis(d)
-    columns = np.stack([embed_real(e @ psi) for e in basis], axis=1)
+    columns = _embed_columns(liealg.skew_basis(d) @ psi)
     lines = []
     for v in vectors:
         v = np.asarray(v, dtype=complex)
         amps = np.array2string(np.round(v, 8), separator=", ")
         coeffs, *_ = np.linalg.lstsq(columns, embed_real(v), rcond=None)
         residual = np.linalg.norm(columns @ coeffs - embed_real(v))
-        if residual < 1e-8 and d & (d - 1) == 0:
+        if residual < 1e-8:
             gen = liealg.from_coords(coeffs, d)
             lines.append(f"{amps}  generated by {pauli.format_pauli_sum(pauli.pauli_decompose(gen))}")
         else:
@@ -218,11 +217,20 @@ def tangent_report(vectors, psi) -> list[str]:
     return lines
 
 
-def _action_tangent(mat: np.ndarray, sym: SymmetrySpec, c: circuit.CircuitSpec,
-                    theta, psi0: np.ndarray) -> np.ndarray:
+def _embed_columns(states: np.ndarray) -> np.ndarray:
+    """Embedded states, one per row of ``states``, as the columns of a
+    real (2d, k) matrix."""
+    return np.concatenate([states.real, states.imag], axis=1).T
+
+
+def _action_matrix(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
+                   psi0: np.ndarray) -> np.ndarray:
+    """Real (2d, d*d) matrix whose column a is the embedded action tangent
+    of basis element a; the tangent of a coordinate row r is this @ r."""
+    basis = liealg.skew_basis(c.dim)
     if sym.action == "theta":
-        return circuit.apply(c, theta, mat @ psi0)
-    return mat @ circuit.apply(c, theta, psi0)
+        return _embed_columns((basis @ psi0) @ circuit.build_unitary(c, theta).T)
+    return _embed_columns(basis @ circuit.apply(c, theta, psi0))
 
 
 def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
@@ -246,14 +254,12 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     if v_rows.size == 0:
         v_rows = np.zeros((0, dim_embed))
     p_v = _projector(v_rows, dim_embed)
-
-    def tangent_of(row: np.ndarray) -> np.ndarray:
-        return embed_real(_action_tangent(liealg.from_coords(row, d), sym, c, theta, psi0))
+    action = _action_matrix(sym, c, theta, psi0)
 
     # symmetry directions acting nontrivially: t minus its stabilizer part
     t_rows = liealg.coords_rows(t_sub)
     if t_rows.shape[0]:
-        t0_coeffs = nullspace_real(np.stack([tangent_of(r) for r in t_rows], axis=1))
+        t0_coeffs = nullspace_real(action @ t_rows.T)
         t0_rows = t0_coeffs @ t_rows if t0_coeffs.size else np.zeros((0, d * d))
     else:
         t0_rows = np.zeros((0, d * d))
@@ -265,14 +271,12 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     span_rows = orthonormal_rows(np.vstack([
         t_rows, liealg.coords_rows(liealg.commutant(t_sub))
     ]))
-    cols = [tangent_of(r) for r in span_rows]
-    proj_cols = [tau - p_v @ tau for tau in cols]  # horizontal component
-    coeffs = nullspace_real(np.stack(proj_cols, axis=1))
+    cols = action @ span_rows.T
+    coeffs = nullspace_real(cols - p_v @ cols)  # horizontal component
     inter_rows = coeffs @ span_rows if coeffs.size else np.zeros((0, d * d))
 
     # ... restricted to the part orthogonal to the full action kernel
-    full_cols = np.stack([tangent_of(r) for r in np.eye(d * d)], axis=1)
-    kernel_rows = nullspace_real(full_cols)
+    kernel_rows = nullspace_real(action)
     if inter_rows.shape[0] and kernel_rows.shape[0]:
         gram = kernel_rows @ inter_rows.T
         keep = nullspace_real(gram)

@@ -238,3 +238,50 @@ def test_symmetry_from_strings_orthonormalizes():
 def test_symmetry_rejects_non_skew(tmp_path):
     with pytest.raises(cli.SpecError):
         cli.symmetry_from_strings(["Z"], "left", 1)
+
+
+def optimizer_spec(tmp_path, **fields):
+    with open(u1_spec(tmp_path)) as fh:
+        data = json.load(fh)
+    data["optimizer"].update(fields)
+    return write_spec(tmp_path, data, name="optimizer.json")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "abc"),
+    ("seed", 1.5),
+    ("max_iter", -3),
+    ("max_iter", "7"),
+    ("tol", "inf"),
+    ("tol", -1e-9),
+    ("lr", "nan"),
+    ("lr", 0.0),
+    ("lr", None),
+])
+def test_optimize_bad_optimizer_field_exit_2(tmp_path, capsys, field, value):
+    spec = optimizer_spec(tmp_path, **{field: value})
+    assert cli.main(["optimize", spec, "--out", str(tmp_path / "t.csv")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "-3"], ["--lr", "nan"], ["--lr", "-0.5"]])
+def test_optimize_bad_override_exit_2(tmp_path, flags):
+    out = tmp_path / "t.csv"
+    assert cli.main(["optimize", "entangling", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0", "1"])
+def test_bad_symflow_tol_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SYMFLOW_TOL", value)
+    assert cli.main(["decompose", su2_spec(tmp_path)]) == 2
+    assert "SYMFLOW_TOL" in capsys.readouterr().err
+
+
+def test_inconsistent_decomposition_exit_3(tmp_path, capsys, monkeypatch):
+    # a cut at 0.9 of the largest singular value drops real directions, so
+    # the four dimensions no longer add up to d^2
+    monkeypatch.setenv("SYMFLOW_TOL", "0.9")
+    assert cli.main(["decompose", su2_spec(tmp_path)]) == 3
+    assert "dimensions sum to" in capsys.readouterr().err

@@ -223,3 +223,51 @@ def test_subspace_report_lines():
     lines = liealg.subspace_report(pauli_subspace(2, ["I", "Z"]), "sub")
     assert lines[0] == "sub: dim 2"
     assert "i*I" in lines[1]
+
+
+def basis_einsum_oracle(x, d: int) -> np.ndarray:
+    """Coordinates as trace inner products with an explicit i*P basis."""
+    n = d.bit_length() - 1
+    basis = np.stack([1j * pauli.word_matrix(w) for w in pauli.all_words(n)])
+    return np.real(np.einsum("aij,ij->a", basis.conj(), x)) / d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coords_round_trips(n, rng):
+    d = 2**n
+    x = random_skew(d, rng)
+    v = liealg.coords(x, d)
+    if n <= 4:
+        assert np.max(np.abs(v - basis_einsum_oracle(x, d))) < 1e-12
+    assert np.max(np.abs(liealg.from_coords(v, d) - x)) < 1e-12
+    w = rng.standard_normal((3, d * d))
+    assert np.max(np.abs(liealg.coords(liealg.from_coords(w, d), d) - w)) < 1e-12
+
+
+def test_coordinates_reject_non_power_of_two():
+    for call in (
+        lambda: liealg.coords(np.zeros((3, 3)), 3),
+        lambda: liealg.coords(np.zeros((6, 6))),
+        lambda: liealg.coords(np.zeros((4, 4)), 2),
+        lambda: liealg.from_coords(np.zeros(9), 3),
+        lambda: liealg.from_coords(np.zeros(16), 2),
+        lambda: liealg.skew_basis(3),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def collective(letter: str, n: int):
+    return tuple("I" * q + letter + "I" * (n - q - 1) for q in range(n))
+
+
+@pytest.mark.parametrize("words, closed_form", [
+    ([collective(ch, 4) for ch in "XYZ"], 14),  # collective su(2): Catalan C_4
+    ([collective("Z", 4)], 70),                 # total-Z u(1): C(8, 4)
+    (["ZZZZ"], 128),                            # i*Z^{(x)4}: d^2 / 2
+])
+def test_commutant_closed_form_dims_n4(words, closed_form):
+    t = pauli_subspace(16, words)
+    assert liealg.commutant(t).dim == closed_form
+    fd = liealg.four_decomposition(t)
+    assert fd.ut_centerless.dim + fd.center_t.dim == closed_form

@@ -165,3 +165,10 @@ def test_rank_tol_env_override(monkeypatch):
     assert nummat.rank_tol() == 1e-3
     monkeypatch.delenv("SYMFLOW_TOL")
     assert nummat.rank_tol() == nummat.DEFAULT_RANK_TOL
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0", "1", "2.5"])
+def test_rank_tol_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("SYMFLOW_TOL", value)
+    with pytest.raises(ValueError, match="SYMFLOW_TOL"):
+        nummat.rank_tol()

@@ -82,8 +82,53 @@ def test_decompose_random_hermitian_real_coeffs(rng):
 
 
 def test_decompose_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        pauli.pauli_decompose(np.eye(3))
+    for call in (
+        lambda: pauli.pauli_decompose(np.eye(3)),
+        lambda: pauli.pauli_decompose(np.eye(1)),
+        lambda: pauli.pauli_transform(np.eye(6)),
+        lambda: pauli.pauli_transform(np.ones((2, 4))),
+        lambda: pauli.inverse_pauli_transform(np.ones(8)),
+        lambda: pauli.inverse_pauli_transform(np.ones(1)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def word_loop_oracle(m) -> np.ndarray:
+    """tr(P m)/d one Kronecker-built word at a time, in all_words order."""
+    m = np.asarray(m, dtype=complex)
+    d = m.shape[-1]
+    words = pauli.all_words(d.bit_length() - 1)
+    return np.stack([np.einsum("ji,...ij->...", kron_oracle(w), m) / d for w in words],
+                    axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_transform_matches_word_loop(n):
+    rng = np.random.default_rng(100 + n)
+    d = 2**n
+    single = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    stack = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+    for m in (single, stack):
+        coeffs = pauli.pauli_transform(m)
+        assert coeffs.shape == m.shape[:-2] + (d * d,)
+        assert np.max(np.abs(coeffs - word_loop_oracle(m))) < 1e-12
+        assert np.max(np.abs(pauli.inverse_pauli_transform(coeffs) - m)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_decompose_word_set_matches_word_loop(n):
+    rng = np.random.default_rng(200 + n)
+    d = 2**n
+    words = pauli.all_words(n)
+    sparse = {w: float(rng.standard_normal()) for w in rng.choice(words, size=min(5, d))}
+    # entries far below the prune threshold, which both routes must drop
+    m = pauli.to_matrix(pauli.pauli_sum(n, sparse)) + 1e-15 * rng.standard_normal((d, d))
+    got = pauli.pauli_decompose(m).coeffs()
+    oracle = word_loop_oracle(m)
+    want = {w: c for w, c in zip(words, oracle) if abs(c) > pauli.COEFF_PRUNE_TOL}
+    assert set(got) == set(want) == set(sparse)
+    assert all(abs(got[w] - want[w]) < 1e-12 for w in want)
 
 
 @st.composite
