@@ -6,20 +6,27 @@ H on its wires (scale defaults to -1, so standard rotations use H = P/2
 and a global phase gate uses H = -I).  Effective generators, state and
 cost partial derivatives, and the circuit's dynamical Lie algebra are
 derived from the same model.
+
+The evaluation core is :func:`evaluate`: one pass over the gates carries
+psi, every partial d_j psi and the symmetry tangents as one batch of
+states, so everything downstream is a matrix product on its result.
+Each generator's eigendecomposition is computed once and cached
+(:func:`generator_spectrum`), so a gate unitary is a phase multiply.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import liealg, pauli
-from .nummat import expm_skew
+from .nummat import sym_orthonormalize
 
 DENSE_QUBIT_CAP = 10
+SPECTRUM_CACHE_SIZE = 256
 
 Statevector = np.ndarray
-ParamPoint = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,20 +106,42 @@ def gate_skew_generator(g: Gate) -> np.ndarray:
     return 1j * g.scale * pauli.to_matrix(g.generator)
 
 
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def generator_spectrum(generator: pauli.PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian gate generator, computed
+    once per distinct generator (the cache holds at most
+    ``SPECTRUM_CACHE_SIZE`` of them); the arrays are read-only."""
+    evals, vecs = np.linalg.eigh(pauli.to_matrix(generator))
+    evals.setflags(write=False)
+    vecs.setflags(write=False)
+    return evals, vecs
+
+
 def gate_unitary(g: Gate, theta: np.ndarray) -> np.ndarray:
-    """Local unitary exp(angle * (i * scale * H))."""
-    return expm_skew(gate_skew_generator(g), gate_angle(g, theta))
+    """Local unitary exp(angle * (i * scale * H)), a phase multiply in the
+    cached eigenbasis of H."""
+    evals, vecs = generator_spectrum(g.generator)
+    phases = np.exp(1j * g.scale * gate_angle(g, theta) * evals)
+    return (vecs * phases) @ vecs.conj().T
+
+
+@lru_cache(maxsize=1024)
+def _wire_order(wires: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """Axis order of a (B, 2, ..., 2) batch that puts the gate's wires
+    first, and its inverse."""
+    axes = [w + 1 for w in wires]
+    order = axes + [a for a in range(n + 1) if a not in axes]
+    return order, [order.index(a) for a in range(n + 1)]
 
 
 def apply_local(state: Statevector, mat: np.ndarray, wires, n: int) -> Statevector:
-    """Apply a 2^k x 2^k operator to the given wires of an n-qubit state."""
-    wires = list(wires)
-    k = len(wires)
-    psi = np.asarray(state, dtype=complex).reshape([2] * n)
-    psi = np.moveaxis(psi, wires, range(k))
-    psi = mat @ psi.reshape(2**k, -1)
-    psi = np.moveaxis(psi.reshape([2] * n), range(k), wires)
-    return psi.reshape(-1)
+    """Apply a 2^k x 2^k operator to the given wires of an n-qubit state,
+    or of every row of a (B, 2^n) batch of states, in one matrix product."""
+    psi = np.asarray(state, dtype=complex)
+    order, inverse = _wire_order(tuple(wires), n)
+    t = psi.reshape(-1, *(2,) * n).transpose(order)
+    t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
+    return t.transpose(inverse).reshape(psi.shape)
 
 
 def embed_operator(mat: np.ndarray, wires, n: int) -> np.ndarray:
@@ -127,13 +156,18 @@ def embed_operator(mat: np.ndarray, wires, n: int) -> np.ndarray:
     return tensor.reshape(2**n, 2**n)
 
 
+def _check_states(c: CircuitSpec, states) -> np.ndarray:
+    psi = np.asarray(states, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != c.dim:
+        raise ValueError(f"state has shape {psi.shape}, expected ({c.dim},) or (B, {c.dim})")
+    return psi
+
+
 def apply_gates(c: CircuitSpec, theta, psi0: Statevector, start: int = 0,
                 stop: int | None = None) -> Statevector:
-    """Apply gates[start:stop] to a state, gate by gate."""
+    """Apply gates[start:stop] to a state or a (B, d) batch of states."""
     theta = check_theta(c, theta)
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (c.dim,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({c.dim},)")
+    psi = _check_states(c, psi0)
     stop = len(c.gates) if stop is None else stop
     for g in c.gates[start:stop]:
         psi = apply_local(psi, gate_unitary(g, theta), g.wires, c.n_qubits)
@@ -145,23 +179,11 @@ def apply(c: CircuitSpec, theta, psi0: Statevector) -> Statevector:
 
 
 def build_unitary(c: CircuitSpec, theta) -> np.ndarray:
-    """Full dense circuit unitary (capped at 10 qubits)."""
+    """Full dense circuit unitary (capped at 10 qubits): the circuit applied
+    to every basis state in one batch."""
     if c.n_qubits > DENSE_QUBIT_CAP:
         raise ValueError(f"dense build capped at {DENSE_QUBIT_CAP} qubits")
-    theta = check_theta(c, theta)
-    u = np.eye(c.dim, dtype=complex)
-    for g in c.gates:
-        u = embed_operator(gate_unitary(g, theta), g.wires, c.n_qubits) @ u
-    return u
-
-
-def _unitary_range(c: CircuitSpec, theta: np.ndarray, start: int, stop: int) -> np.ndarray:
-    if c.n_qubits > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense build capped at {DENSE_QUBIT_CAP} qubits")
-    u = np.eye(c.dim, dtype=complex)
-    for g in c.gates[start:stop]:
-        u = embed_operator(gate_unitary(g, theta), g.wires, c.n_qubits) @ u
-    return u
+    return apply(c, theta, np.eye(c.dim, dtype=complex)).T
 
 
 def _gate_index(c: CircuitSpec, j: int) -> int:
@@ -179,16 +201,20 @@ def effective_generator(c: CircuitSpec, theta, j: int, side: str = "right") -> n
     g = c.gates[k]
     kappa = embed_operator(gate_skew_generator(g), g.wires, c.n_qubits)
     if side == "right":
-        u_pre = _unitary_range(c, theta, 0, k)
+        u_pre = build_unitary(CircuitSpec(c.n_qubits, c.gates[:k], c.n_params), theta)
         return u_pre.conj().T @ kappa @ u_pre
     if side == "left":
-        u_post = _unitary_range(c, theta, k, len(c.gates))
+        u_post = build_unitary(CircuitSpec(c.n_qubits, c.gates[k:], c.n_params), theta)
         return u_post @ kappa @ u_post.conj().T
     raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
 def state_partial(c: CircuitSpec, theta, j: int, psi0: Statevector) -> Statevector:
-    """Tangent vector d|psi(theta)>/d theta_j (zero if j drives no gate)."""
+    """Tangent vector d|psi(theta)>/d theta_j (zero if j drives no gate).
+
+    One re-simulation per parameter; :func:`evaluate` gets every partial
+    from a single sweep.  Kept as the independent reference.
+    """
     theta = check_theta(c, theta)
     try:
         k = _gate_index(c, j)
@@ -200,6 +226,85 @@ def state_partial(c: CircuitSpec, theta, j: int, psi0: Statevector) -> Statevect
     psi = apply_gates(c, theta, psi0, 0, k)
     psi = apply_local(psi, gate_skew_generator(g), g.wires, c.n_qubits)
     return apply_gates(c, theta, psi, k)
+
+
+@dataclass(frozen=True, eq=False)
+class TangentFrame:
+    """Raw symmetry tangents (rows), their Gram matrix, and an orthonormal
+    frame of their span (rows)."""
+
+    raw: np.ndarray
+    gram: np.ndarray
+    onb: np.ndarray
+    rank: int
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """One sweep's output at (circuit, theta, psi0, symmetry generators):
+    the state psi, the partials d_j psi as rows (zero for a parameter that
+    drives no gate), and the frame of the symmetry tangents at psi."""
+
+    psi: np.ndarray
+    partials: np.ndarray
+    frame: TangentFrame
+
+    def gradient(self, covector: np.ndarray) -> np.ndarray:
+        """2 Re <covector|d_j psi> for every j: the gradient of a cost whose
+        differential is dC = 2 Re <covector|d psi> (covector = M psi for
+        the expectation of M)."""
+        return 2.0 * np.real(self.partials.conj() @ covector)
+
+
+def evaluate(c: CircuitSpec, theta, psi0: Statevector, generators=(),
+             action: str = "left") -> Evaluation:
+    """psi, all partials and the symmetry frame from one pass over the gates.
+
+    The batch starts as psi0 (plus z_b psi0 for each generator z_b under
+    the ``theta`` action); at each trainable gate the row kappa psi joins
+    it, and every gate acts on the whole batch.  Since kappa commutes with
+    its own gate, the row is exactly d_j psi once the pass ends.  Under
+    the ``left`` action the tangents are z_b psi at the output state.
+    """
+    if action not in ("left", "theta"):
+        raise ValueError(f"action must be 'left' or 'theta', got {action!r}")
+    theta = check_theta(c, theta)
+    psi0 = _check_states(c, psi0).reshape(c.dim)
+    z = np.asarray(generators, dtype=complex)
+    if z.size and z.shape[1:] != (c.dim, c.dim):
+        raise ValueError("symmetry generators do not match the state dimension")
+    z = z.reshape(-1, c.dim, c.dim)
+    order = [g.param for g in c.gates if g.param is not None]
+    at_action = z @ psi0 if action == "theta" else np.zeros((0, c.dim), dtype=complex)
+    carried = 1 + len(at_action)
+    batch = np.empty((carried + len(order), c.dim), dtype=complex)
+    batch[0] = psi0
+    batch[1:carried] = at_action
+    live = carried
+    for g in c.gates:
+        batch[:live] = apply_local(batch[:live], gate_unitary(g, theta), g.wires, c.n_qubits)
+        if g.param is not None:
+            batch[live] = apply_local(batch[0], gate_skew_generator(g), g.wires, c.n_qubits)
+            live += 1
+    psi = batch[0]
+    partials = np.zeros((c.n_params, c.dim), dtype=complex)
+    partials[order] = batch[carried:]
+    if action == "theta":
+        frame = _frame(at_action, batch[1:carried])
+    else:
+        at_action = z @ psi
+        frame = _frame(at_action, at_action)
+    return Evaluation(psi, partials, frame)
+
+
+def _frame(at_action: np.ndarray, raw: np.ndarray) -> TangentFrame:
+    """Frame of the tangents ``raw``; the Gram matrix and the orthonormal
+    combinations come from the same tangents at the action point, which
+    the circuit maps isometrically onto ``raw``."""
+    gram = np.real(at_action.conj() @ at_action.T)
+    coeffs = sym_orthonormalize(np.eye(len(raw)), gram) if len(raw) else np.zeros((0, 0))
+    onb = coeffs @ raw
+    return TangentFrame(raw, gram, onb, len(onb))
 
 
 def expectation(state: Statevector, m: pauli.PauliSum) -> float:
@@ -216,11 +321,9 @@ def cost(c: CircuitSpec, theta, psi0: Statevector, m: pauli.PauliSum) -> float:
 
 def cost_partial(c: CircuitSpec, theta, j: int, psi0: Statevector, m: pauli.PauliSum) -> float:
     """d C / d theta_j as 2 Re <psi| M |d_j psi>."""
-    if not m.is_hermitian():
-        raise ValueError("observable must be Hermitian")
-    psi = apply(c, theta, psi0)
-    dpsi = state_partial(c, theta, j, psi0)
-    return float(2.0 * np.real(np.vdot(psi, pauli.to_matrix(m) @ dpsi)))
+    if not 0 <= j < c.n_params:
+        raise ValueError(f"parameter index {j} out of range")
+    return float(cost_gradient(c, theta, psi0, m)[j])
 
 
 def cost_partial_commutator(c: CircuitSpec, theta, j: int, psi0: Statevector,
@@ -236,7 +339,11 @@ def cost_partial_commutator(c: CircuitSpec, theta, j: int, psi0: Statevector,
 
 
 def cost_gradient(c: CircuitSpec, theta, psi0: Statevector, m: pauli.PauliSum) -> np.ndarray:
-    return np.array([cost_partial(c, theta, j, psi0, m) for j in range(c.n_params)])
+    """All d C / d theta_j = 2 Re <M psi|d_j psi> from one sweep."""
+    if not m.is_hermitian():
+        raise ValueError("observable must be Hermitian")
+    ev = evaluate(c, theta, psi0)
+    return ev.gradient(pauli.to_matrix(m) @ ev.psi)
 
 
 def dla(c: CircuitSpec) -> liealg.Subspace:

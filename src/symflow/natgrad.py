@@ -16,7 +16,7 @@ import numpy as np
 
 from . import circuit, pauli, symgrad, tangent
 from .nummat import pinv_psd
-from .tangent import SymmetrySpec, real_overlap
+from .tangent import SymmetrySpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,93 +76,76 @@ class OptTrace:
         return "\n".join(lines) + "\n"
 
 
+def _metric(ev: circuit.Evaluation) -> np.ndarray:
+    """Gram matrix of the partials after removing their components along
+    the orthonormal frame T: Re<d_j psi|d_k psi> - sum_a Re<d_j psi|T_a> Re<T_a|d_k psi>."""
+    proj = np.real(ev.frame.onb.conj() @ ev.partials.T)
+    f = np.real(ev.partials.conj() @ ev.partials.T) - proj.T @ proj
+    return (f + f.T) / 2.0
+
+
+def _global_phase(d: int) -> list[np.ndarray]:
+    """Generator of the global phases, whose tangent at psi is i psi."""
+    return [1j * np.eye(d)]
+
+
 def fubini_study(c: circuit.CircuitSpec, theta, psi0) -> MetricMatrix:
-    """F_jk = Re<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>."""
-    psi = circuit.apply(c, theta, psi0)
-    partials = [circuit.state_partial(c, theta, j, psi0) for j in range(c.n_params)]
-    p = c.n_params
-    f = np.zeros((p, p))
-    overlaps = [complex(np.vdot(psi, d)) for d in partials]
-    for j in range(p):
-        for k in range(j, p):
-            val = float(np.real(np.vdot(partials[j], partials[k])))
-            val -= float(np.real(np.conj(overlaps[j]) * overlaps[k]))
-            f[j, k] = f[k, j] = val
-    return MetricMatrix(f, "fubini_study")
+    """F_jk = Re<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>, which is the
+    covariant metric of the global-phase symmetry."""
+    ev = circuit.evaluate(c, theta, psi0, _global_phase(c.dim))
+    return MetricMatrix(_metric(ev), "fubini_study")
 
 
 def covariant_metric(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> MetricMatrix:
     """Gram matrix of the covariant state derivatives:
     F^S_jk = Re<d_j psi|d_k psi> - sum_a Re<d_j psi|T_a> Re<T_a|d_k psi>."""
-    partials = [circuit.state_partial(c, theta, j, psi0) for j in range(c.n_params)]
-    frame = tangent.vertical_frame(sym, c, theta, psi0)
-    p = c.n_params
-    f = np.zeros((p, p))
-    proj = np.zeros((len(frame.onb), p))
-    for a, t in enumerate(frame.onb):
-        for j in range(p):
-            proj[a, j] = real_overlap(t, partials[j])
-    for j in range(p):
-        for k in range(j, p):
-            val = float(np.real(np.vdot(partials[j], partials[k])))
-            val -= float(proj[:, j] @ proj[:, k])
-            f[j, k] = f[k, j] = val
-    return MetricMatrix(f, "covariant")
+    return MetricMatrix(_metric(tangent.evaluate(sym, c, theta, psi0)), "covariant")
+
+
+def _value_and_covector(spec: CostSpec, psi: np.ndarray) -> tuple[float, np.ndarray]:
+    """C at the state psi and the covector g with dC = 2 Re <g|d psi>."""
+    observables = (spec.observable,) if isinstance(spec, ExpectationCost) else spec.observables
+    if not all(m.is_hermitian() for m in observables):
+        raise ValueError("observable must be Hermitian")
+    m_psis = [pauli.to_matrix(m) @ psi for m in observables]
+    values = [float(np.real(np.vdot(psi, m_psi))) for m_psi in m_psis]
+    if isinstance(spec, ExpectationCost):
+        return values[0], m_psis[0]
+    return float(sum(v**2 for v in values)), sum(2.0 * v * g for v, g in zip(values, m_psis))
 
 
 def cost_value(spec: CostSpec, c: circuit.CircuitSpec, theta, psi0) -> float:
-    if isinstance(spec, ExpectationCost):
-        return circuit.cost(c, theta, psi0, spec.observable)
-    psi = circuit.apply(c, theta, psi0)
-    return float(sum(circuit.expectation(psi, m) ** 2 for m in spec.observables))
+    return _value_and_covector(spec, circuit.apply(c, theta, psi0))[0]
 
 
 def cost_gradient(spec: CostSpec, c: circuit.CircuitSpec, theta, psi0) -> np.ndarray:
-    if isinstance(spec, ExpectationCost):
-        return circuit.cost_gradient(c, theta, psi0, spec.observable)
-    psi = circuit.apply(c, theta, psi0)
-    grad = np.zeros(c.n_params)
-    for m in spec.observables:
-        grad += 2.0 * circuit.expectation(psi, m) * circuit.cost_gradient(c, theta, psi0, m)
-    return grad
-
-
-def cost_covariant_gradient(spec: CostSpec, sym: SymmetrySpec, c: circuit.CircuitSpec,
-                            theta, psi0) -> np.ndarray:
-    """Vector of covariant derivatives D_j C; chain rule for squared sums."""
-    return projected_cost_report("covariant", sym, c, theta, psi0, spec).projected
+    ev = circuit.evaluate(c, theta, psi0)
+    return ev.gradient(_value_and_covector(spec, ev.psi)[1])
 
 
 def projected_cost_report(kind: str, sym: SymmetrySpec, c: circuit.CircuitSpec,
                           theta, psi0, cost_spec: CostSpec) -> symgrad.SymGradReport:
-    """Covariant or equivariant cost report for either cost form; squared
-    sums combine the per-observable reports with the chain rule (the
-    Gram matrix, overlaps and vector potential are observable-free)."""
+    """Covariant or equivariant cost report for either cost form, from one
+    evaluation; a squared sum enters through its covector
+    sum_M 2 <M> M psi (the chain rule), so the report is built once."""
     if kind not in ("covariant", "equivariant"):
         raise ValueError(f"kind must be 'covariant' or 'equivariant', got {kind!r}")
-    fn = symgrad.covariant_derivative_cost if kind == "covariant" else \
-        symgrad.equivariant_derivative_cost
-    if isinstance(cost_spec, ExpectationCost):
-        return fn(sym, c, theta, psi0, cost_spec.observable)
-    psi = circuit.apply(c, theta, psi0)
-    weights = [2.0 * circuit.expectation(psi, m) for m in cost_spec.observables]
-    reports = [fn(sym, c, theta, psi0, m) for m in cost_spec.observables]
-    first = reports[0]
-    return symgrad.SymGradReport(
-        m=sum(w * r.m for w, r in zip(weights, reports)),
-        omega=first.omega,
-        gram=first.gram,
-        vector_potential=first.vector_potential,
-        partial=sum(w * r.partial for w, r in zip(weights, reports)),
-        projected=sum(w * r.projected for w, r in zip(weights, reports)),
-    )
+    basis_kind = "vertical" if kind == "covariant" else "equivariant"
+    ev = tangent.evaluate(sym, c, theta, psi0, basis_kind)
+    return symgrad._cost_report(ev, _value_and_covector(cost_spec, ev.psi)[1], basis_kind)
+
+
+def _natural_step(ev: circuit.Evaluation, theta: np.ndarray, grad: np.ndarray,
+                  lr: float) -> np.ndarray:
+    """theta' = theta - lr * (1/2) * F^+ grad with F the metric of ev's frame."""
+    return theta - lr * 0.5 * (pinv_psd(_metric(ev)) @ grad)
 
 
 def qng_step(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, lr: float) -> np.ndarray:
     theta = circuit.check_theta(c, theta)
-    f = fubini_study(c, theta, psi0).entries
-    grad = circuit.cost_gradient(c, theta, psi0, m)
-    return theta - lr * 0.5 * (pinv_psd(f) @ grad)
+    ev = circuit.evaluate(c, theta, psi0, _global_phase(c.dim))
+    grad = ev.gradient(_value_and_covector(ExpectationCost(m), ev.psi)[1])
+    return _natural_step(ev, theta, grad, lr)
 
 
 def cqng_step(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
@@ -172,9 +155,9 @@ def cqng_step(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     theta = circuit.check_theta(c, theta)
-    f = covariant_metric(sym, c, theta, psi0).entries
-    grad = symgrad.covariant_derivative_cost(sym, c, theta, psi0, m).projected
-    return theta - lr * 0.5 * (pinv_psd(f) @ grad)
+    ev = tangent.evaluate(sym, c, theta, psi0)
+    covector = _value_and_covector(ExpectationCost(m), ev.psi)[1]
+    return _natural_step(ev, theta, symgrad._cost_report(ev, covector, "vertical").projected, lr)
 
 
 def sample_theta0(n_params: int, seed: int | None) -> np.ndarray:
@@ -202,13 +185,18 @@ def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostS
     theta = sample_theta0(c.n_params, seed) if theta0 is None else \
         circuit.check_theta(c, theta0).copy()
     monitors = monitors or {}
+    if method == "cqng":
+        generators, action = sym.generators.basis, sym.action
+    else:
+        generators, action = (_global_phase(c.dim) if method == "qng" else ()), "left"
     trace = OptTrace()
     for it in range(max_iter + 1):
-        value = cost_value(cost_spec, c, theta, psi0)
+        ev = circuit.evaluate(c, theta, psi0, generators, action)
+        value, covector = _value_and_covector(cost_spec, ev.psi)
         if method == "cqng":
-            grad = cost_covariant_gradient(cost_spec, sym, c, theta, psi0)
+            grad = symgrad._cost_report(ev, covector, "vertical").projected
         else:
-            grad = cost_gradient(cost_spec, c, theta, psi0)
+            grad = ev.gradient(covector)
         gnorm = float(np.linalg.norm(grad))
         extras = {name: fn(theta) for name, fn in monitors.items()}
         trace.records.append(TraceRecord(it, theta.copy(), value, gnorm, extras))
@@ -219,10 +207,6 @@ def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostS
             break
         if method == "gd":
             theta = theta - lr * grad
-        elif method == "qng":
-            f = fubini_study(c, theta, psi0).entries
-            theta = theta - lr * 0.5 * (pinv_psd(f) @ grad)
         else:
-            f = covariant_metric(sym, c, theta, psi0).entries
-            theta = theta - lr * 0.5 * (pinv_psd(f) @ grad)
+            theta = _natural_step(ev, theta, grad, lr)
     return trace

@@ -3,7 +3,8 @@ nullspaces, and Gram-based symmetric orthonormalization.
 
 All routines are pure functions on numpy arrays.  Rank decisions use a
 relative threshold (``SYMFLOW_TOL`` environment variable, default 1e-10
-times the largest eigenvalue or singular value).
+times the largest eigenvalue or singular value) above an absolute noise
+floor, ``ZERO_MATRIX_FLOOR`` (squared for Gram eigenvalues).
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
 HERM_TOL = 1e-12
+ZERO_MATRIX_FLOOR = 1e-12  # inputs here are O(1)-normalized; below this is noise
 
 
 class ContractViolation(ValueError):
@@ -96,7 +98,9 @@ def _psd_eig(g, rel_tol: float | None):
     if g.size and np.max(np.abs(g - g.T)) > 1e-10:
         raise ContractViolation("Gram matrix is not symmetric")
     evals, vecs = np.linalg.eigh((g + g.T) / 2.0) if g.size else (np.zeros(0), np.zeros((0, 0)))
-    cut = _resolve_tol(rel_tol) * (np.max(evals) if evals.size else 0.0)
+    # an eigenvalue below the floor squared is a direction of norm below the floor: noise
+    cut = max(_resolve_tol(rel_tol) * (np.max(evals) if evals.size else 0.0),
+              ZERO_MATRIX_FLOOR**2)
     return evals, vecs, cut
 
 
@@ -112,9 +116,6 @@ def sqrt_pinv_psd(g, rel_tol: float | None = None) -> np.ndarray:
     evals, vecs, cut = _psd_eig(g, rel_tol)
     inv = np.where(evals > cut, 1.0 / np.sqrt(np.where(evals > cut, evals, 1.0)), 0.0)
     return (vecs * inv) @ vecs.T
-
-
-ZERO_MATRIX_FLOOR = 1e-12  # inputs here are O(1)-normalized; below this is noise
 
 
 def nullspace_real(m, rel_tol: float | None = None) -> np.ndarray:
@@ -141,27 +142,23 @@ def orthonormal_rows(m, rel_tol: float | None = None) -> np.ndarray:
     return vh[:rank]
 
 
-def sym_orthonormalize(vectors, gram, rel_tol: float | None = None) -> list[np.ndarray]:
+def sym_orthonormalize(vectors, gram, rel_tol: float | None = None) -> np.ndarray:
     """Orthonormalize a redundant family via the square-rooted pseudo-inverse
     of its Gram matrix.
 
-    Works in the eigenbasis of ``gram``: each kept output is
+    Works in the eigenbasis of ``gram``: each kept output row is
     lambda_a^{-1/2} * sum_b W[b, a] * vectors[b] for an eigenpair
-    (lambda_a, W[:, a]) above the rank cut; null directions are dropped, so
-    the output count equals the numerical rank of ``gram``.
+    (lambda_a, W[:, a]) above the rank cut, in descending eigenvalue order;
+    null directions are dropped, so the row count equals the numerical rank
+    of ``gram``.  All rows come from one matrix product.
     """
-    vectors = [np.asarray(v) for v in vectors]
     evals, vecs, cut = _psd_eig(gram, rel_tol)
     if len(vectors) != evals.size:
         raise ValueError(
             f"Gram matrix of size {evals.size} does not match {len(vectors)} vectors"
         )
-    if not vectors:
-        return []
-    stack = np.stack(vectors)
-    out = []
-    for a in range(evals.size - 1, -1, -1):  # descending eigenvalue order
-        if evals[a] <= cut:
-            continue
-        out.append(np.tensordot(vecs[:, a], stack, axes=(0, 0)) / np.sqrt(evals[a]))
-    return out
+    if not len(vectors):
+        return np.zeros((0, 0))
+    keep = np.flatnonzero(evals > cut)[::-1]  # descending eigenvalue order
+    stack = np.stack([np.asarray(v) for v in vectors])
+    return np.tensordot((vecs[:, keep] / np.sqrt(evals[keep])).T, stack, axes=1)

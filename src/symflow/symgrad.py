@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, liealg, pauli, tangent
-from .nummat import ContractViolation, pinv_psd
-from .tangent import SymmetrySpec, real_overlap
+from .nummat import pinv_psd
+from .tangent import SymmetrySpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,21 +46,12 @@ class SymGradReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _z_basis(sym: SymmetrySpec, basis_kind: str) -> list[np.ndarray]:
-    if basis_kind == "vertical":
-        return list(sym.generators.basis)
-    if basis_kind == "equivariant":
-        return list(liealg.commutant(sym.generators).basis)
-    raise ValueError(f"basis_kind must be 'vertical' or 'equivariant', got {basis_kind!r}")
-
-
 def equivariant_derivative_unitary(c: circuit.CircuitSpec, theta, j: int,
                                    sym: SymmetrySpec) -> np.ndarray:
     """E_j U = U * twirl(Omega_j): keep only the commutant component."""
     u = circuit.build_unitary(c, theta)
     omega = circuit.effective_generator(c, theta, j, "right")
-    comm = liealg.commutant(sym.generators)
-    return u @ liealg.twirl_project(omega, comm)
+    return u @ liealg.twirl_project(omega, sym.commutant)
 
 
 def covariant_derivative_unitary(c: circuit.CircuitSpec, theta, j: int,
@@ -71,55 +62,48 @@ def covariant_derivative_unitary(c: circuit.CircuitSpec, theta, j: int,
     return u @ (omega - liealg.project_onto(omega, sym.generators))
 
 
+def _partial(ev: circuit.Evaluation, j: int) -> np.ndarray:
+    if not 0 <= j < len(ev.partials):
+        raise ValueError(f"parameter index {j} out of range")
+    return ev.partials[j]
+
+
+def _frame_component(onb: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a state tangent onto the span of onb rows."""
+    return np.real(onb.conj() @ v) @ onb
+
+
 def equivariant_derivative_state(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                                  j: int, psi0) -> np.ndarray:
     """Projection of d_j|psi> onto the equivariant tangent frame."""
-    dpsi = circuit.state_partial(c, theta, j, psi0)
-    frame = tangent.equivariant_frame(sym, c, theta, psi0)
-    out = np.zeros_like(dpsi)
-    for v in frame.onb:
-        out = out + real_overlap(v, dpsi) * v
-    return out
+    ev = tangent.evaluate(sym, c, theta, psi0, "equivariant")
+    return _frame_component(ev.frame.onb, _partial(ev, j))
 
 
 def covariant_derivative_state(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                                j: int, psi0) -> np.ndarray:
     """d_j|psi> minus its component along the vertical tangent frame."""
-    dpsi = circuit.state_partial(c, theta, j, psi0)
-    frame = tangent.vertical_frame(sym, c, theta, psi0)
-    out = dpsi.astype(complex)
-    for v in frame.onb:
-        out = out - real_overlap(v, dpsi) * v
-    return out
+    ev = tangent.evaluate(sym, c, theta, psi0)
+    dpsi = _partial(ev, j)
+    return dpsi - _frame_component(ev.frame.onb, dpsi)
 
 
-def _raw_tangents(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
-                  basis_kind: str) -> tangent.TangentFrame:
-    return tangent._frame(_z_basis(sym, basis_kind), c, theta, psi0, sym.action)
+def _omega(ev: circuit.Evaluation) -> np.ndarray:
+    """omega[b, j] = Re <Z_b | d_j psi> for the raw frame tangents Z_b."""
+    return np.real(ev.frame.raw.conj() @ ev.partials.T)
 
 
 def symmetry_derivative(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
                         m: pauli.PauliSum, basis_kind: str = "vertical") -> np.ndarray:
     """Cost response to infinitesimal symmetry insertions:
     m_a = 2 Re <psi| M |Z_a> with Z_a the raw symmetry tangents."""
-    if not m.is_hermitian():
-        raise ValueError("observable must be Hermitian")
-    frame = _raw_tangents(sym, c, theta, psi0, basis_kind)
-    psi = circuit.apply(c, theta, psi0)
-    m_psi = pauli.to_matrix(m) @ psi
-    return np.array([2.0 * real_overlap(m_psi, z) for z in frame.raw])
+    return _observable_report(sym, c, theta, psi0, m, basis_kind).m
 
 
 def overlap_omega(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
                   basis_kind: str = "vertical") -> np.ndarray:
     """omega[b, j] = Re <Z_b | d_j psi>, computed from statevectors."""
-    frame = _raw_tangents(sym, c, theta, psi0, basis_kind)
-    partials = [circuit.state_partial(c, theta, j, psi0) for j in range(c.n_params)]
-    out = np.zeros((len(frame.raw), c.n_params))
-    for b, z in enumerate(frame.raw):
-        for j, dpsi in enumerate(partials):
-            out[b, j] = real_overlap(z, dpsi)
-    return out
+    return _omega(tangent.evaluate(sym, c, theta, psi0, basis_kind))
 
 
 def omega_anticommutator(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
@@ -127,7 +111,7 @@ def omega_anticommutator(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
     """Cross-check route for omega via (1/2) <{z^dag, Omega}> at the action
     point: right-effective generators at psi0 for the theta action,
     left-effective generators at psi(theta) for the left action."""
-    z_mats = _z_basis(sym, basis_kind)
+    z_mats = tangent.z_basis(sym, basis_kind)
     theta = circuit.check_theta(c, theta)
     if sym.action == "theta":
         base = np.asarray(psi0, dtype=complex)
@@ -150,58 +134,15 @@ def omega_anticommutator(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
     return out
 
 
-def is_commuting_generator_circuit(c: circuit.CircuitSpec, tol: float = 1e-12) -> bool:
-    """Whether all embedded gate generators commute pairwise."""
-    mats = [
-        circuit.embed_operator(circuit.gate_skew_generator(g), g.wires, c.n_qubits)
-        for g in c.gates
-    ]
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])) > tol:
-                return False
-    return True
-
-
-def overlap_omega_commuting(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
-                            basis_kind: str = "vertical") -> np.ndarray:
-    """Fast path for commuting-generator circuits: the effective generator
-    equals the bare gate generator, so omega needs no circuit conjugation."""
-    if not is_commuting_generator_circuit(c):
-        raise ContractViolation("gate generators do not commute pairwise")
-    z_mats = _z_basis(sym, basis_kind)
-    theta = circuit.check_theta(c, theta)
-    base = np.asarray(psi0, dtype=complex) if sym.action == "theta" else \
-        circuit.apply(c, theta, psi0)
-    kappas = {}
-    for g in c.gates:
-        if g.param is not None:
-            kappas[g.param] = circuit.embed_operator(
-                circuit.gate_skew_generator(g), g.wires, c.n_qubits
-            )
-    out = np.zeros((len(z_mats), c.n_params))
-    for b, z in enumerate(z_mats):
-        zv = z @ base
-        for j in range(c.n_params):
-            if j in kappas:
-                out[b, j] = real_overlap(zv, kappas[j] @ base)
-    return out
-
-
-def _cost_report(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
-                 m: pauli.PauliSum, basis_kind: str) -> SymGradReport:
-    if not m.is_hermitian():
-        raise ValueError("observable must be Hermitian")
-    frame = _raw_tangents(sym, c, theta, psi0, basis_kind)
-    psi = circuit.apply(c, theta, psi0)
-    m_psi = pauli.to_matrix(m) @ psi
-    m_vec = np.array([2.0 * real_overlap(m_psi, z) for z in frame.raw])
-    partials = [circuit.state_partial(c, theta, j, psi0) for j in range(c.n_params)]
-    omega = np.zeros((len(frame.raw), c.n_params))
-    for b, z in enumerate(frame.raw):
-        for j, dpsi in enumerate(partials):
-            omega[b, j] = real_overlap(z, dpsi)
-    partial = np.array([2.0 * real_overlap(m_psi, dpsi) for dpsi in partials])
+def _cost_report(ev: circuit.Evaluation, covector: np.ndarray,
+                 basis_kind: str) -> SymGradReport:
+    """Report for a cost whose differential is dC = 2 Re <covector|d psi>
+    (covector = M psi for an expectation), from one evaluation whose frame
+    holds the ``basis_kind`` tangents."""
+    frame = ev.frame
+    m_vec = 2.0 * np.real(frame.raw.conj() @ covector)
+    partial = ev.gradient(covector)
+    omega = _omega(ev)
     potential = pinv_psd(frame.gram) @ omega
     if basis_kind == "vertical":
         projected = partial - m_vec @ potential
@@ -213,21 +154,28 @@ def _cost_report(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
     )
 
 
+def _observable_report(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
+                       m: pauli.PauliSum, basis_kind: str) -> SymGradReport:
+    if not m.is_hermitian():
+        raise ValueError("observable must be Hermitian")
+    ev = tangent.evaluate(sym, c, theta, psi0, basis_kind)
+    return _cost_report(ev, pauli.to_matrix(m) @ ev.psi, basis_kind)
+
+
 def covariant_derivative_cost(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                               psi0, m: pauli.PauliSum) -> SymGradReport:
     """D_j C = d_j C - m_a (G^+)_{ab} omega_{bj} over the symmetry basis."""
-    return _cost_report(sym, c, theta, psi0, m, "vertical")
+    return _observable_report(sym, c, theta, psi0, m, "vertical")
 
 
 def equivariant_derivative_cost(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                                 psi0, m: pauli.PauliSum) -> SymGradReport:
     """E_j C = m^E_a (G~^+)_{ab} omega^E_{bj} over the commutant basis."""
-    return _cost_report(sym, c, theta, psi0, m, "equivariant")
+    return _observable_report(sym, c, theta, psi0, m, "equivariant")
 
 
 def vector_potential(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> np.ndarray:
     """A[a, j] = (G^+ omega)[a, j] for the vertical basis; independent of
     any observable."""
-    frame = _raw_tangents(sym, c, theta, psi0, "vertical")
-    omega = overlap_omega(sym, c, theta, psi0, "vertical")
-    return pinv_psd(frame.gram) @ omega
+    ev = tangent.evaluate(sym, c, theta, psi0)
+    return pinv_psd(ev.frame.gram) @ _omega(ev)

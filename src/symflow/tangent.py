@@ -11,17 +11,13 @@ Re<a|b>; internally they are embedded into R^{2d}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import circuit, liealg
-from .nummat import (
-    ContractViolation,
-    nullspace_real,
-    orthonormal_rows,
-    sym_orthonormalize,
-)
+from .circuit import TangentFrame
+from .nummat import ContractViolation, nullspace_real, orthonormal_rows
 
 INTERSECT_EIG_TOL = 1e-8
 
@@ -32,6 +28,7 @@ class SymmetrySpec:
 
     generators: liealg.Subspace
     action: str  # "left" or "theta"
+    _commutant: liealg.Subspace | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.action not in ("left", "theta"):
@@ -39,15 +36,12 @@ class SymmetrySpec:
         if not liealg.is_subalgebra(self.generators):
             raise ContractViolation("symmetry generators are not bracket-closed")
 
-
-@dataclass(frozen=True, eq=False)
-class TangentFrame:
-    """Raw symmetry tangents, their Gram matrix, and an orthonormal frame."""
-
-    raw: tuple[np.ndarray, ...]
-    gram: np.ndarray
-    onb: tuple[np.ndarray, ...]
-    rank: int
+    @property
+    def commutant(self) -> liealg.Subspace:
+        """The commutant of the generators, solved on first use and held."""
+        if self._commutant is None:
+            object.__setattr__(self, "_commutant", liealg.commutant(self.generators))
+        return self._commutant
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,42 +77,31 @@ def unembed(r) -> np.ndarray:
     return r[:half] + 1j * r[half:]
 
 
-def _gram(vectors) -> np.ndarray:
-    k = len(vectors)
-    g = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            g[a, b] = g[b, a] = real_overlap(vectors[a], vectors[b])
-    return g
+def z_basis(sym: SymmetrySpec, basis_kind: str) -> tuple[np.ndarray, ...]:
+    """The symmetry generators (``vertical``) or their commutant
+    (``equivariant``)."""
+    if basis_kind == "vertical":
+        return sym.generators.basis
+    if basis_kind == "equivariant":
+        return sym.commutant.basis
+    raise ValueError(f"basis_kind must be 'vertical' or 'equivariant', got {basis_kind!r}")
 
 
-def _frame(z_mats, c: circuit.CircuitSpec, theta, psi0, action: str) -> TangentFrame:
-    psi0 = np.asarray(psi0, dtype=complex)
-    if z_mats and z_mats[0].shape != (c.dim,) * 2:
-        raise ValueError("symmetry generators do not match the state dimension")
-    if action == "theta":
-        base_raw = [z @ psi0 for z in z_mats]
-        gram = _gram(base_raw)
-        base_onb = sym_orthonormalize(base_raw, gram)
-        raw = [circuit.apply(c, theta, v) for v in base_raw]
-        onb = [circuit.apply(c, theta, v) for v in base_onb]
-    else:
-        psi = circuit.apply(c, theta, psi0)
-        raw = [z @ psi for z in z_mats]
-        gram = _gram(raw)
-        onb = sym_orthonormalize(raw, gram)
-    return TangentFrame(tuple(raw), gram, tuple(onb), len(onb))
+def evaluate(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
+             basis_kind: str = "vertical") -> circuit.Evaluation:
+    """One sweep at (c, theta, psi0) whose frame holds the action tangents
+    of ``z_basis(sym, basis_kind)``."""
+    return circuit.evaluate(c, theta, psi0, z_basis(sym, basis_kind), sym.action)
 
 
 def vertical_frame(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> TangentFrame:
     """Frame of the symmetry-generated (vertical) tangent subspace."""
-    return _frame(list(sym.generators.basis), c, theta, psi0, sym.action)
+    return evaluate(sym, c, theta, psi0).frame
 
 
 def equivariant_frame(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> TangentFrame:
     """Frame of the commutant-generated (equivariant) tangent subspace."""
-    comm = liealg.commutant(sym.generators)
-    return _frame(list(comm.basis), c, theta, psi0, sym.action)
+    return evaluate(sym, c, theta, psi0, "equivariant").frame
 
 
 def state_tangent_rows(psi) -> np.ndarray:
@@ -127,23 +110,14 @@ def state_tangent_rows(psi) -> np.ndarray:
     return nullspace_real(embed_real(psi)[None, :])
 
 
-def _rows_from_tangents(vectors) -> np.ndarray:
-    if not vectors:
-        return np.zeros((0, 0))
-    return orthonormal_rows(np.stack([embed_real(v) for v in vectors]))
+def _rows_from_tangents(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal embedded rows spanning the rows of a (k, d) stack."""
+    return orthonormal_rows(_embed_columns(vectors).T)
 
 
 def _complement_rows(rows: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    out = rows.copy()
-    for r in inner:
-        out = out - np.outer(out @ r, r)
-    return orthonormal_rows(out) if out.size else out
-
-
-def _projector(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.size == 0:
-        return np.zeros((dim, dim))
-    return rows.T @ rows
+    """Orthonormal rows of span(rows) minus the orthonormal rows ``inner``."""
+    return orthonormal_rows(rows - (rows @ inner.T) @ inner)
 
 
 def _intersect(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
@@ -157,28 +131,20 @@ def _intersect(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
 def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                              psi0) -> StateFourDecomposition:
     """Orthogonal four-way split of the unitary tangent space at the state."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi = circuit.apply(c, theta, psi0)
-    dim = 2 * psi.size
-
-    t_rows = state_tangent_rows(psi)
-    v_rows = _rows_from_tangents(list(vertical_frame(sym, c, theta, psi0).onb))
-    e_rows = _rows_from_tangents(list(equivariant_frame(sym, c, theta, psi0).onb))
-    if v_rows.size == 0:
-        v_rows = np.zeros((0, dim))
-    if e_rows.size == 0:
-        e_rows = np.zeros((0, dim))
+    vertical = evaluate(sym, c, theta, psi0)
+    t_rows = state_tangent_rows(vertical.psi)
+    v_rows = _rows_from_tangents(vertical.frame.onb)
+    e_rows = _rows_from_tangents(equivariant_frame(sym, c, theta, psi0).onb)
     h_rows = _complement_rows(t_rows, v_rows)
 
-    p_v = _projector(v_rows, dim)
-    p_e = _projector(e_rows, dim)
-    p_h = _projector(h_rows, dim)
-    eye = np.eye(dim)
+    # orthogonal projectors onto the embedded spans
+    p_v, p_e, p_h = (rows.T @ rows for rows in (v_rows, e_rows, h_rows))
+    eye = np.eye(len(p_v))
 
     equi_rows = _intersect(p_e, p_v)
     both_rows = _intersect(p_e, p_h)
     cov_rows = _intersect(p_h, eye - p_e)
-    vert_rows = _intersect(p_v, eye - _projector(equi_rows, dim))
+    vert_rows = _intersect(p_v, eye - equi_rows.T @ equi_rows)
 
     total = sum(r.shape[0] for r in (cov_rows, both_rows, equi_rows, vert_rows))
     residual = t_rows.shape[0] - total
@@ -249,11 +215,8 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     psi0 = np.asarray(psi0, dtype=complex)
     d = c.dim
     t_sub = sym.generators
-    v_rows = _rows_from_tangents(list(vertical_frame(sym, c, theta, psi0).onb))
-    dim_embed = 2 * d
-    if v_rows.size == 0:
-        v_rows = np.zeros((0, dim_embed))
-    p_v = _projector(v_rows, dim_embed)
+    v_rows = _rows_from_tangents(vertical_frame(sym, c, theta, psi0).onb)
+    p_v = v_rows.T @ v_rows
     action = _action_matrix(sym, c, theta, psi0)
 
     # symmetry directions acting nontrivially: t minus its stabilizer part
@@ -263,13 +226,11 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
         t0_rows = t0_coeffs @ t_rows if t0_coeffs.size else np.zeros((0, d * d))
     else:
         t0_rows = np.zeros((0, d * d))
-    active_t = t_rows.copy()
-    for r in t0_rows:
-        active_t = active_t - np.outer(active_t @ r, r)
+    active_t = t_rows - (t_rows @ t0_rows.T) @ t0_rows
 
     # symmetry-plus-commutant directions with vertical tangents ...
     span_rows = orthonormal_rows(np.vstack([
-        t_rows, liealg.coords_rows(liealg.commutant(t_sub))
+        t_rows, liealg.coords_rows(sym.commutant)
     ]))
     cols = action @ span_rows.T
     coeffs = nullspace_real(cols - p_v @ cols)  # horizontal component

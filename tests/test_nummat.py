@@ -172,3 +172,11 @@ def test_rank_tol_rejects_bad_env(monkeypatch, value):
     monkeypatch.setenv("SYMFLOW_TOL", value)
     with pytest.raises(ValueError, match="SYMFLOW_TOL"):
         nummat.rank_tol()
+
+
+def test_psd_rank_cut_has_absolute_floor():
+    """A Gram matrix of roundoff-size tangents (entries ~1e-33) has rank 0,
+    not the rank its relative spectrum would suggest."""
+    g = 1e-33 * np.diag([1.0, 0.5])
+    assert np.all(nummat.pinv_psd(g) == 0.0)
+    assert nummat.sym_orthonormalize([1e-17 * np.ones(2), 1e-17j * np.ones(2)], g).shape[0] == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symflow import circuit, liealg, pauli, symgrad, tangent
-from symflow.nummat import ContractViolation, expm_skew, pinv_psd
+from symflow.nummat import expm_skew, pinv_psd
 from conftest import (
     random_circuit,
     random_observable,
@@ -192,34 +192,32 @@ def test_anticommuting_generators_make_partial_covariant(rng):
     assert np.allclose(report.projected, report.partial, atol=1e-12)
 
 
-def test_commuting_generator_fast_path(rng):
+def test_commuting_generator_closed_form(rng):
+    """With pairwise commuting gate generators the effective generator is
+    the bare one, so omega[b, j] = Re <z_b base|kappa_j base> at the action
+    point (psi0 for the theta action, psi for the left action)."""
     c = circuit.CircuitSpec(2, (
         circuit.rotation("ZZ", (0, 1), param=0),
         circuit.rotation("Z", (0,), param=1),
         circuit.rotation("IZ", (0, 1), angle=0.4),
     ), 2)
     psi0 = random_state(2, rng)
+    kappas = [circuit.embed_operator(circuit.gate_skew_generator(g), g.wires, 2)
+              for g in c.gates[:2]]
     for action in ("theta", "left"):
         sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
         theta = rng.uniform(0, 2 * np.pi, 2)
-        fast = symgrad.overlap_omega_commuting(sym, c, theta, psi0)
+        base = psi0 if action == "theta" else circuit.apply(c, theta, psi0)
+        closed = np.array([[tangent.real_overlap(z @ base, k @ base) for k in kappas]
+                           for z in sym.generators.basis])
         general = symgrad.overlap_omega(sym, c, theta, psi0)
-        assert np.max(np.abs(fast - general)) < 1e-12
+        assert np.max(np.abs(closed - general)) < 1e-12
     # theta-action overlaps do not depend on theta
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), "theta")
     base = symgrad.overlap_omega(sym, c, rng.uniform(0, 2 * np.pi, 2), psi0)
     for _ in range(10):
         other = symgrad.overlap_omega(sym, c, rng.uniform(0, 2 * np.pi, 2), psi0)
         assert np.max(np.abs(base - other)) < 1e-12
-
-
-def test_commuting_fast_path_rejects_noncommuting(rng):
-    c = random_circuit(2, 2, rng)
-    while symgrad.is_commuting_generator_circuit(c):
-        c = random_circuit(2, 2, rng)
-    sym = tangent.SymmetrySpec(su2_tensor_subspace(), "theta")
-    with pytest.raises(ContractViolation):
-        symgrad.overlap_omega_commuting(sym, c, [0.1, 0.2], random_state(2, rng))
 
 
 def single_qubit_expectations(theta_q, psi_q, obs):
