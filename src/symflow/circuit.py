@@ -307,9 +307,10 @@ def _frame(at_action: np.ndarray, raw: np.ndarray) -> TangentFrame:
     return TangentFrame(raw, gram, onb, len(onb))
 
 
-def expectation(state: Statevector, m: pauli.PauliSum) -> float:
-    val = np.vdot(state, pauli.to_matrix(m) @ state)
-    return float(val.real)
+def expectation(state: Statevector, m: pauli.PauliSum | np.ndarray) -> float:
+    """<state| M |state> for a Pauli sum or its dense matrix."""
+    mat = pauli.to_matrix(m) if isinstance(m, pauli.PauliSum) else m
+    return float(np.vdot(state, mat @ state).real)
 
 
 def cost(c: CircuitSpec, theta, psi0: Statevector, m: pauli.PauliSum) -> float:

@@ -306,17 +306,19 @@ def cmd_optimize(args) -> int:
     c = problem.circuit
     psi0 = problem.initial_state(seed)
 
-    monitors = {}
+    monitor = None
     if c.n_qubits >= 2:
         pre = pre_entangler_circuit(c)
-        x1 = pauli.parse_pauli_sum("X" + "I" * (c.n_qubits - 1), c.n_qubits)
-        z2 = pauli.parse_pauli_sum("IZ" + "I" * (c.n_qubits - 2), c.n_qubits)
-        monitors["X1_pre"] = lambda th: circuit.cost(pre, th, psi0, x1)
-        monitors["Z2_pre"] = lambda th: circuit.cost(pre, th, psi0, z2)
+        x1, z2 = (pauli.to_matrix(pauli.parse_pauli_sum(w, c.n_qubits))
+                  for w in ("X" + "I" * (c.n_qubits - 1), "IZ" + "I" * (c.n_qubits - 2)))
+
+        def monitor(th):
+            psi = circuit.apply(pre, th, psi0)
+            return {"X1_pre": circuit.expectation(psi, x1), "Z2_pre": circuit.expectation(psi, z2)}
 
     trace = natgrad.optimize(
         cfg.method, c, None, psi0, problem.cost, lr=lr, max_iter=max_iter,
-        tol=cfg.tol, sym=problem.symmetry, seed=seed, monitors=monitors,
+        tol=cfg.tol, sym=problem.symmetry, seed=seed, monitor=monitor,
     )
     _write(trace.to_csv(), args.out or "trace.csv")
 

@@ -2,34 +2,38 @@
 closures, commutants, centers, orthogonal complements, twirling as
 projection, and the four-way equivariant/vertical decomposition.
 
-Subspaces carry an orthonormal basis under the normalized trace inner
-product; all linear algebra runs on real coordinate vectors with respect
-to the fixed orthonormal skew-Hermitian basis i*P of u(d), P running over
-the Pauli words in ``pauli.all_words`` order.  Coordinates exist for
-d = 2**n only: ``coords``, ``from_coords`` and ``skew_basis`` raise
-ValueError for any other d.  They go through the tensorized Pauli
-transform, O(n d^2) per matrix, and build no basis array.
+All linear algebra runs on real coordinate vectors with respect to the
+fixed orthonormal skew-Hermitian basis i*P of u(d), P running over the
+Pauli words in ``pauli.all_words`` order; these coordinates are the trace
+inner products with that basis.  A Subspace is the (dim, d*d) matrix of
+the orthonormal coordinate rows of its basis, so every projection is a
+matrix product.  Coordinates exist for d = 2**n only: ``coords``,
+``from_coords`` and ``skew_basis`` raise ValueError for any other d.  They
+go through the tensorized Pauli transform, O(n d^2) per matrix, and build
+no basis array.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import pauli
 from .nummat import (
+    HERM_TOL,
     ContractViolation,
     nullspace_real,
     orthonormal_rows,
     rank_tol,
     require_skew_hermitian,
-    trace_inner,
+    trace_inner,  # noqa: F401  (part of this module's public surface)
 )
 
 SUBALGEBRA_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
+BRACKET_CHUNK = 1 << 12  # complex entries (64 KiB) of the bracket stack built at once
 
 
 class AlgebraFailure(RuntimeError):
@@ -37,38 +41,58 @@ class AlgebraFailure(RuntimeError):
     typically because the rank tolerance cuts through a spectrum."""
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
-    """Ordered orthonormal basis of a real subspace of u(d)."""
+    """Real subspace of u(d), stored as the orthonormal coordinate rows of
+    its basis, shape (dim, d*d)."""
 
-    dim_ambient: int
-    basis: tuple[np.ndarray, ...]
+    def __init__(self, dim_ambient: int, rows):
+        rows = np.asarray(rows, dtype=float).reshape(-1, dim_ambient * dim_ambient)
+        rows.setflags(write=False)  # the reshape is a new view: the caller's array stays writable
+        self.dim_ambient = dim_ambient
+        self.rows = rows
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.rows.shape[0]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The basis matrices, a read-only (dim, d, d) view built on first use."""
+        mats = from_coords(self.rows, self.dim_ambient)
+        mats.setflags(write=False)
+        return mats
 
     def contains(self, x, tol: float = 1e-10) -> bool:
-        return residual_norm(x, self) <= tol * max(1.0, np.sqrt(abs(trace_inner(x, x))))
+        norm = np.linalg.norm(x) / np.sqrt(self.dim_ambient)
+        return residual_norm(x, self) <= tol * max(1.0, norm)
 
 
 def subspace(d: int, mats, validate: bool = True) -> Subspace:
-    """Build a Subspace from matrices, checking skewness and orthonormality."""
-    basis = tuple(np.asarray(m, dtype=complex) for m in mats)
-    if validate:
-        for m in basis:
-            require_skew_hermitian(m, name="basis element")
-            if m.shape != (d, d):
-                raise ValueError(f"basis element of shape {m.shape} in u({d})")
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
-                want = 1.0 if a == b else 0.0
-                got = trace_inner(basis[a], basis[b])
-                if abs(got - want) > ORTHONORMAL_TOL:
-                    raise ContractViolation(
-                        f"basis not orthonormal: <{a},{b}> = {got:.3e}"
-                    )
-    return Subspace(d, basis)
+    """Build a Subspace from matrices, checking skewness and orthonormality.
+
+    The matrices themselves, not their round trip through coordinates,
+    become the ``basis`` view."""
+    basis = np.array(mats, dtype=complex)
+    if basis.size == 0:
+        basis = np.zeros((0, d, d), dtype=complex)
+    if basis.ndim != 3 or basis.shape[1:] != (d, d):
+        raise ValueError(f"basis elements of shape {basis.shape[1:]} in u({d})")
+    rows = coords(basis, d)
+    if validate and len(basis):
+        defects = np.max(np.abs(basis + basis.conj().transpose(0, 2, 1)), axis=(1, 2))
+        if np.max(defects) > HERM_TOL:
+            raise ContractViolation(
+                f"basis element {int(np.argmax(defects))} is not skew-Hermitian "
+                f"(defect {np.max(defects):.3e})"
+            )
+        gram = rows @ rows.T
+        a, b = np.unravel_index(np.argmax(np.abs(gram - np.eye(len(rows)))), gram.shape)
+        if abs(gram[a, b] - (a == b)) > ORTHONORMAL_TOL:
+            raise ContractViolation(f"basis not orthonormal: <{a},{b}> = {gram[a, b]:.3e}")
+    sub = Subspace(d, rows)
+    basis.setflags(write=False)
+    sub.__dict__["basis"] = basis  # seeds the cached view with the validated matrices
+    return sub
 
 
 @lru_cache(maxsize=8)
@@ -81,8 +105,9 @@ def skew_basis(d: int) -> np.ndarray:
 
 
 def coords(x, d: int | None = None) -> np.ndarray:
-    """Real coordinates of a skew-Hermitian matrix, or of a stack of them,
-    in the fixed basis: shape (..., d, d) -> (..., d*d)."""
+    """Real coordinates of a matrix, or of a stack of them, in the fixed
+    basis: shape (..., d, d) -> (..., d*d).  Entry a is the trace inner
+    product with basis element a, for any complex matrix."""
     x = np.asarray(x, dtype=complex)
     if d is not None and x.shape[-2:] != (d, d):
         raise ValueError(f"matrix of shape {x.shape} in u({d})")
@@ -91,119 +116,108 @@ def coords(x, d: int | None = None) -> np.ndarray:
 
 
 def from_coords(vec, d: int) -> np.ndarray:
-    """Inverse of :func:`coords`: shape (..., d*d) -> (..., d, d)."""
+    """Inverse of :func:`coords` on u(d): shape (..., d*d) -> (..., d, d)."""
     vec = np.asarray(vec, dtype=float)
     if vec.shape[-1:] != (d * d,):
         raise ValueError(f"coordinate vector of shape {vec.shape} for u({d})")
     return 1j * pauli.inverse_pauli_transform(vec)
 
 
-def coords_rows(sub: Subspace) -> np.ndarray:
-    """Coordinate row matrix of a subspace basis, shape (dim, d*d)."""
-    d = sub.dim_ambient
-    if sub.dim == 0:
-        return np.zeros((0, d * d))
-    return coords(np.stack(sub.basis), d)
-
-
-def _fix_sign(row: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(np.abs(row) > 1e-8 * max(1.0, np.max(np.abs(row))))[0]
-    if nz.size and row[nz[0]] < 0:
-        return -row
-    return row
+def _fix_signs(rows: np.ndarray) -> np.ndarray:
+    """Flip each row whose first entry above the noise level is negative."""
+    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1, initial=0.0))
+    big = np.abs(rows) > 1e-8 * scale[:, None]
+    lead = rows[np.arange(len(rows)), np.argmax(big, axis=1)]
+    return np.where((np.any(big, axis=1) & (lead < 0))[:, None], -rows, rows)
 
 
 def subspace_from_rows(rows, d: int) -> Subspace:
     """Subspace from orthonormal coordinate rows, with canonical signs."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0 or rows.shape[0] == 0:
-        return Subspace(d, ())
-    mats = from_coords(np.stack([_fix_sign(r) for r in rows]), d)
-    return Subspace(d, tuple(mats))
+    return Subspace(d, _fix_signs(np.asarray(rows, dtype=float).reshape(-1, d * d)))
 
 
 def full_space(d: int) -> Subspace:
-    return Subspace(d, tuple(skew_basis(d)))
-
-
-def residual_norm(x, sub: Subspace) -> float:
-    """Trace-norm of the component of x orthogonal to the subspace."""
-    x = np.asarray(x, dtype=complex)
-    r = x.copy()
-    for b in sub.basis:
-        r -= trace_inner(b, x) * b
-    return float(np.sqrt(abs(trace_inner(r, r))))
+    return Subspace(d, np.eye(d * d))
 
 
 def project_onto(x, sub: Subspace) -> np.ndarray:
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for b in sub.basis:
-        out += trace_inner(b, x) * b
-    return out
+    """Orthogonal projection of x onto the subspace, sum_b <b, x> b."""
+    x = np.asarray(x, dtype=complex)
+    return from_coords((sub.rows @ coords(x, sub.dim_ambient)) @ sub.rows, sub.dim_ambient)
+
+
+def residual_norm(x, sub: Subspace) -> float:
+    """Trace-norm of x minus its projection onto the subspace."""
+    r = np.asarray(x, dtype=complex) - project_onto(x, sub)
+    return float(np.linalg.norm(r) / np.sqrt(sub.dim_ambient))
 
 
 def lie_closure(generators) -> Subspace:
     """Smallest bracket-closed real span containing the generators.
 
     Iterates pairwise commutators against the current basis until the
-    numerical rank stabilizes; capped at 10*d*d rounds.
+    numerical rank stabilizes; capped at 10*d*d rounds.  Each candidate is
+    orthogonalized against all basis rows at once (classical Gram-Schmidt,
+    applied twice).
     """
     gens = [require_skew_hermitian(np.asarray(g, dtype=complex)) for g in generators]
     if not gens:
-        return Subspace(0, ())
+        raise ValueError("lie_closure needs at least one generator")
     d = gens[0].shape[0]
     for g in gens:
         if g.shape != (d, d):
             raise ValueError("generators live in different dimensions")
-
-    basis_rows: list[np.ndarray] = []
-    basis_mats: list[np.ndarray] = []
+    tol = rank_tol()
+    rows = np.zeros((0, d * d))
+    mats: list[np.ndarray] = []
 
     def try_append(mat: np.ndarray) -> bool:
+        nonlocal rows
         vec = coords(mat, d)
         norm = np.linalg.norm(vec)
         if norm <= 1e-13:
             return False
-        for row in basis_rows:
-            vec = vec - np.dot(row, vec) * row
+        for _ in range(2):
+            vec = vec - (rows @ vec) @ rows
         res = np.linalg.norm(vec)
-        if res <= rank_tol() * norm or res <= 1e-12:
+        if res <= tol * norm or res <= 1e-12:
             return False
-        row = _fix_sign(vec / res)
-        basis_rows.append(row)
-        basis_mats.append(from_coords(row, d))
+        row = _fix_signs(vec[None, :] / res)
+        rows = np.vstack([rows, row])
+        mats.append(from_coords(row[0], d))
         return True
 
     for g in gens:
         try_append(g)
 
-    frontier = list(basis_mats)
+    frontier = list(mats)
     rounds = 0
     while frontier:
         rounds += 1
         if rounds > 10 * d * d:
             raise AlgebraFailure("Lie closure did not stabilize within the round cap")
         fresh: list[np.ndarray] = []
-        snapshot = list(basis_mats)
-        for a in snapshot:
+        for a in list(mats):
             for b in frontier:
                 if try_append(a @ b - b @ a):
-                    fresh.append(basis_mats[-1])
+                    fresh.append(mats[-1])
         frontier = fresh
-    return Subspace(d, tuple(basis_mats))
+    return Subspace(d, rows)
 
 
-def _ad_matrix(y: np.ndarray, d: int) -> np.ndarray:
-    """Real matrix of x -> [y, x] in fixed coordinates, shape (d*d, d*d).
+def _ad_matrix(ys: np.ndarray, d: int) -> np.ndarray:
+    """Real matrix of x -> ([y_1, x], ..., [y_k, x]) in fixed coordinates,
+    shape (k*d*d, d*d), for a (k, d, d) stack of y.
 
     Built d columns at a time: a stack of all d*d basis commutators would
-    hold d**4 complex entries next to the result.
+    hold k*d**4 complex entries next to the result.
     """
+    ys = ys[:, None]
     cols = []
     for unit_rows in np.eye(d * d).reshape(d, d, d * d):
         e = from_coords(unit_rows, d)
-        cols.append(coords(y @ e - e @ y, d))
-    return np.concatenate(cols).T
+        cols.append(coords(ys @ e - e @ ys, d))
+    return np.concatenate(cols, axis=1).transpose(0, 2, 1).reshape(-1, d * d)
 
 
 def commutant(sub: Subspace, d: int | None = None) -> Subspace:
@@ -211,32 +225,52 @@ def commutant(sub: Subspace, d: int | None = None) -> Subspace:
     d = sub.dim_ambient if d is None else d
     if sub.dim == 0:
         return full_space(d)
-    blocks = [_ad_matrix(y, d) for y in sub.basis]
-    rows = nullspace_real(np.vstack(blocks))
-    return subspace_from_rows(rows, d)
+    return subspace_from_rows(nullspace_real(_ad_matrix(sub.basis, d)), d)
+
+
+def _brackets(sub: Subspace):
+    """Coordinates of the basis brackets [b_a, b_c], a few a at a time
+    against the stacked basis: yields arrays of shape (k, dim, d*d) whose
+    chunks hold about BRACKET_CHUNK complex entries, so the full
+    dim**2 x d**2 array never exists at once."""
+    d, mats = sub.dim_ambient, sub.basis
+    step = max(1, BRACKET_CHUNK // max(1, sub.dim * d * d))
+    for start in range(0, sub.dim, step):
+        y = mats[start:start + step, None]
+        yield coords(y @ mats - mats @ y, d)
+
+
+def is_subalgebra(sub: Subspace, tol: float = SUBALGEBRA_TOL) -> bool:
+    """Whether every pairwise bracket of basis elements stays in the span."""
+    for comm in _brackets(sub):
+        residual = comm - (comm @ sub.rows.T) @ sub.rows
+        scale = np.maximum(1.0, np.linalg.norm(comm, axis=-1))
+        if np.any(np.linalg.norm(residual, axis=-1) > tol * scale):
+            return False
+    return True
 
 
 def center(sub: Subspace) -> Subspace:
-    """Elements of the subspace commuting with all of the subspace."""
+    """Elements of the subspace commuting with all of the subspace.
+
+    Works on the brackets' components in the span, which are the whole
+    brackets when the subspace is bracket-closed; otherwise it warns, and
+    the result only has brackets orthogonal to the subspace."""
     if sub.dim == 0:
         return Subspace(sub.dim_ambient, ())
     if not is_subalgebra(sub):
         warnings.warn("center() called on a subspace that is not bracket-closed")
-    d = sub.dim_ambient
-    mats = np.stack(sub.basis)
-    blocks = [coords(y @ mats - mats @ y, d).T for y in sub.basis]
-    coeff_rows = nullspace_real(np.vstack(blocks))
-    return subspace_from_rows(coeff_rows @ coords_rows(sub), d)
+    # f[a, b, c] = <b_c, [b_a, b_b]>; sum_b x_b b_b is central iff
+    # sum_b x_b f[a, b, c] = 0 for every (a, c)
+    f = np.concatenate([comm @ sub.rows.T for comm in _brackets(sub)])
+    coeff_rows = nullspace_real(f.transpose(0, 2, 1).reshape(-1, sub.dim))
+    return subspace_from_rows(coeff_rows @ sub.rows, sub.dim_ambient)
 
 
 def complement_within(sub: Subspace, inner: Subspace) -> Subspace:
     """Orthogonal complement of ``inner`` inside ``sub``."""
-    d = sub.dim_ambient
-    rows = coords_rows(sub)
-    inner_rows = coords_rows(inner)
-    for r in inner_rows:
-        rows = rows - np.outer(rows @ r, r)
-    return subspace_from_rows(orthonormal_rows(rows), d)
+    rows = sub.rows - (sub.rows @ inner.rows.T) @ inner.rows
+    return subspace_from_rows(orthonormal_rows(rows), sub.dim_ambient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +297,7 @@ def four_decomposition(t: Subspace, d: int | None = None) -> FourDecomposition:
     z = center(t)
     ut_centerless = complement_within(u_t, z)
     t_centerless = complement_within(t, z)
-    span_rows = np.vstack([coords_rows(u_t), coords_rows(t)])
-    r = subspace_from_rows(nullspace_real(span_rows), d)
+    r = subspace_from_rows(nullspace_real(np.vstack([u_t.rows, t.rows])), d)
     total = r.dim + ut_centerless.dim + z.dim + t_centerless.dim
     if total != d * d:
         raise AlgebraFailure(f"decomposition dimensions sum to {total}, expected {d * d}")
@@ -282,22 +315,9 @@ def twirl_project(x, commutant_basis: Subspace) -> np.ndarray:
     return project_onto(x, commutant_basis)
 
 
-def is_subalgebra(sub: Subspace, tol: float = SUBALGEBRA_TOL) -> bool:
-    """Whether every pairwise bracket of basis elements stays in the span."""
-    for a in range(sub.dim):
-        for b in range(a + 1, sub.dim):
-            x, y = sub.basis[a], sub.basis[b]
-            comm = x @ y - y @ x
-            scale = max(1.0, np.sqrt(abs(trace_inner(comm, comm))))
-            if residual_norm(comm, sub) > tol * scale:
-                return False
-    return True
-
-
 def span_projector(sub: Subspace) -> np.ndarray:
     """Coordinate-space orthogonal projector onto the subspace."""
-    rows = coords_rows(sub)
-    return rows.T @ rows
+    return sub.rows.T @ sub.rows
 
 
 def span_distance(a: Subspace, b: Subspace) -> float:
@@ -308,8 +328,12 @@ def span_distance(a: Subspace, b: Subspace) -> float:
 
 def subspace_report(sub: Subspace, label: str = "subspace") -> list[str]:
     """Human-readable report: dimension header plus one Pauli-sum line per
-    basis element."""
+    basis element, its coefficients i*r_P read straight from the rows."""
+    n = pauli.qubit_count(sub.dim_ambient)
+    words = pauli.all_words(n)
     lines = [f"{label}: dim {sub.dim}"]
-    for m in sub.basis:
-        lines.append("  " + pauli.format_pauli_sum(pauli.pauli_decompose(m)))
+    for row in sub.rows:
+        kept = np.flatnonzero(np.abs(row) > pauli.COEFF_PRUNE_TOL)
+        terms = tuple((words[a], complex(0.0, row[a])) for a in kept)
+        lines.append("  " + pauli.format_pauli_sum(pauli.PauliSum(n, terms)))
     return lines

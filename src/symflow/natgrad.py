@@ -169,12 +169,13 @@ def sample_theta0(n_params: int, seed: int | None) -> np.ndarray:
 def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostSpec,
              lr: float = 0.1, max_iter: int = 2000, tol: float = 1e-9,
              sym: SymmetrySpec | None = None, seed: int | None = None,
-             monitors: dict[str, Callable[[np.ndarray], float]] | None = None) -> OptTrace:
+             monitor: Callable[[np.ndarray], dict[str, float]] | None = None) -> OptTrace:
     """Run gd / qng / cqng until the driving gradient norm drops below tol.
 
     Records one row per visited point (including the final one reached by
     the last step).  The driving gradient is the plain gradient for gd and
-    qng and the covariant gradient for cqng.
+    qng and the covariant gradient for cqng.  ``monitor(theta)`` returns
+    the named extra columns of a row.
     """
     if method not in ("gd", "qng", "cqng"):
         raise ValueError(f"unknown method {method!r}")
@@ -184,7 +185,6 @@ def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostS
         raise ValueError("learning rate must be positive")
     theta = sample_theta0(c.n_params, seed) if theta0 is None else \
         circuit.check_theta(c, theta0).copy()
-    monitors = monitors or {}
     if method == "cqng":
         generators, action = sym.generators.basis, sym.action
     else:
@@ -198,7 +198,7 @@ def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostS
         else:
             grad = ev.gradient(covector)
         gnorm = float(np.linalg.norm(grad))
-        extras = {name: fn(theta) for name, fn in monitors.items()}
+        extras = monitor(theta) if monitor else {}
         trace.records.append(TraceRecord(it, theta.copy(), value, gnorm, extras))
         if gnorm < tol:
             trace.converged = True

@@ -11,7 +11,8 @@ Re<a|b>; internally they are embedded into R^{2d}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ class SymmetrySpec:
 
     generators: liealg.Subspace
     action: str  # "left" or "theta"
-    _commutant: liealg.Subspace | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.action not in ("left", "theta"):
@@ -36,12 +36,10 @@ class SymmetrySpec:
         if not liealg.is_subalgebra(self.generators):
             raise ContractViolation("symmetry generators are not bracket-closed")
 
-    @property
+    @cached_property
     def commutant(self) -> liealg.Subspace:
         """The commutant of the generators, solved on first use and held."""
-        if self._commutant is None:
-            object.__setattr__(self, "_commutant", liealg.commutant(self.generators))
-        return self._commutant
+        return liealg.commutant(self.generators)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,28 +159,6 @@ def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     )
 
 
-def tangent_report(vectors, psi) -> list[str]:
-    """One line per tangent: the amplitude list, plus the least-norm skew
-    Pauli generator reproducing it at ``psi`` when one exists."""
-    from . import pauli
-
-    psi = np.asarray(psi, dtype=complex)
-    d = psi.size
-    columns = _embed_columns(liealg.skew_basis(d) @ psi)
-    lines = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex)
-        amps = np.array2string(np.round(v, 8), separator=", ")
-        coeffs, *_ = np.linalg.lstsq(columns, embed_real(v), rcond=None)
-        residual = np.linalg.norm(columns @ coeffs - embed_real(v))
-        if residual < 1e-8:
-            gen = liealg.from_coords(coeffs, d)
-            lines.append(f"{amps}  generated by {pauli.format_pauli_sum(pauli.pauli_decompose(gen))}")
-        else:
-            lines.append(amps)
-    return lines
-
-
 def _embed_columns(states: np.ndarray) -> np.ndarray:
     """Embedded states, one per row of ``states``, as the columns of a
     real (2d, k) matrix."""
@@ -214,34 +190,25 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     """
     psi0 = np.asarray(psi0, dtype=complex)
     d = c.dim
-    t_sub = sym.generators
     v_rows = _rows_from_tangents(vertical_frame(sym, c, theta, psi0).onb)
     p_v = v_rows.T @ v_rows
     action = _action_matrix(sym, c, theta, psi0)
 
     # symmetry directions acting nontrivially: t minus its stabilizer part
-    t_rows = liealg.coords_rows(t_sub)
-    if t_rows.shape[0]:
-        t0_coeffs = nullspace_real(action @ t_rows.T)
-        t0_rows = t0_coeffs @ t_rows if t0_coeffs.size else np.zeros((0, d * d))
-    else:
-        t0_rows = np.zeros((0, d * d))
+    # (an empty nullspace has shape (0, k), so these products stay well shaped)
+    t_rows = sym.generators.rows
+    t0_rows = nullspace_real(action @ t_rows.T) @ t_rows
     active_t = t_rows - (t_rows @ t0_rows.T) @ t0_rows
 
     # symmetry-plus-commutant directions with vertical tangents ...
-    span_rows = orthonormal_rows(np.vstack([
-        t_rows, liealg.coords_rows(sym.commutant)
-    ]))
+    span_rows = orthonormal_rows(np.vstack([t_rows, sym.commutant.rows]))
     cols = action @ span_rows.T
-    coeffs = nullspace_real(cols - p_v @ cols)  # horizontal component
-    inter_rows = coeffs @ span_rows if coeffs.size else np.zeros((0, d * d))
+    inter_rows = nullspace_real(cols - p_v @ cols) @ span_rows  # horizontal component
 
     # ... restricted to the part orthogonal to the full action kernel
     kernel_rows = nullspace_real(action)
     if inter_rows.shape[0] and kernel_rows.shape[0]:
-        gram = kernel_rows @ inter_rows.T
-        keep = nullspace_real(gram)
-        inter_rows = keep @ inter_rows if keep.size else np.zeros((0, d * d))
+        inter_rows = nullspace_real(kernel_rows @ inter_rows.T) @ inter_rows
 
     perp_rows = orthonormal_rows(np.vstack([active_t, inter_rows]))
     u_perp = liealg.subspace_from_rows(perp_rows, d)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symflow import liealg, pauli
-from symflow.nummat import ContractViolation, expm_skew, trace_inner
+from symflow.nummat import ContractViolation, expm_skew, orthonormal_rows, trace_inner
 from conftest import pauli_subspace, random_skew, span_of, su2_tensor_subspace
 
 
@@ -57,7 +57,21 @@ def test_lie_closure_ising_golden():
 
 
 def test_lie_closure_empty():
-    assert liealg.lie_closure([]).dim == 0
+    with pytest.raises(ValueError):
+        liealg.lie_closure([])
+
+
+def test_lie_closure_reads_rank_tol_once(monkeypatch):
+    calls = []
+
+    def counting_rank_tol():
+        calls.append(1)
+        return 1e-10
+
+    monkeypatch.setattr(liealg, "rank_tol", counting_rank_tol)
+    sub = liealg.lie_closure([1j * pauli.word_matrix(w) for w in ("XI", "ZZ", "IY")])
+    assert sub.dim > 3  # many candidates went through the rank test
+    assert len(calls) == 1
 
 
 def test_commutant_of_z():
@@ -271,3 +285,117 @@ def test_commutant_closed_form_dims_n4(words, closed_form):
     assert liealg.commutant(t).dim == closed_form
     fd = liealg.four_decomposition(t)
     assert fd.ut_centerless.dim + fd.center_t.dim == closed_form
+
+
+# Differential tests: the row-based projections against the per-element
+# trace_inner loops they replaced, kept here as oracles.
+
+def residual_norm_oracle(x, sub):
+    r = np.asarray(x, dtype=complex).copy()
+    for b in sub.basis:
+        r -= trace_inner(b, x) * b
+    return float(np.sqrt(abs(trace_inner(r, r))))
+
+
+def project_onto_oracle(x, sub):
+    out = np.zeros_like(np.asarray(x, dtype=complex))
+    for b in sub.basis:
+        out += trace_inner(b, x) * b
+    return out
+
+
+def complement_within_oracle(sub, inner):
+    rows = np.stack([liealg.coords(b, sub.dim_ambient) for b in sub.basis])
+    for b in inner.basis:
+        r = liealg.coords(b, sub.dim_ambient)
+        rows = rows - np.outer(rows @ r, r)
+    return liealg.subspace_from_rows(orthonormal_rows(rows), sub.dim_ambient)
+
+
+def is_subalgebra_oracle(sub, tol=liealg.SUBALGEBRA_TOL):
+    for a in range(sub.dim):
+        for b in range(a + 1, sub.dim):
+            x, y = sub.basis[a], sub.basis[b]
+            comm = x @ y - y @ x
+            scale = max(1.0, np.sqrt(abs(trace_inner(comm, comm))))
+            if residual_norm_oracle(comm, sub) > tol * scale:
+                return False
+    return True
+
+
+def random_rows_subspace(d, dim, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((d * d, dim)))
+    return liealg.subspace_from_rows(q.T, d)
+
+
+def random_complex(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_row_projections_match_trace_inner_loops(d, rng):
+    for dim in (1, d * d // 2, d * d - 1):
+        sub = random_rows_subspace(d, dim, rng)
+        for x in (random_skew(d, rng), random_complex(d, rng)):
+            assert abs(liealg.residual_norm(x, sub) - residual_norm_oracle(x, sub)) < 1e-12
+            want = project_onto_oracle(x, sub)
+            assert np.max(np.abs(liealg.project_onto(x, sub) - want)) < 1e-12
+            assert np.max(np.abs(liealg.twirl_project(x, sub) - want)) < 1e-12
+            assert sub.contains(want) and not sub.contains(x)
+        inner = random_rows_subspace(d, 1, rng)
+        outer_rows = orthonormal_rows(np.vstack([sub.rows, inner.rows]))
+        outer = liealg.subspace_from_rows(outer_rows, d)
+        got = liealg.complement_within(outer, inner)
+        want = complement_within_oracle(outer, inner)
+        assert got.dim == want.dim == outer.dim - 1
+        assert liealg.span_distance(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_is_subalgebra_matches_trace_inner_loop(d, rng):
+    # a generic pair generates all of u(d) or su(d); one generic element's
+    # commutant is abelian of dimension d
+    closed = [liealg.commutant(liealg.lie_closure([random_skew(d, rng)]))]
+    if d < 8:
+        closed.append(liealg.lie_closure([random_skew(d, rng) for _ in range(2)]))
+    for sub in closed:
+        assert liealg.is_subalgebra(sub) and is_subalgebra_oracle(sub)
+    for dim in (2, 3, d * d // 2):
+        sub = random_rows_subspace(d, dim, rng)
+        assert liealg.is_subalgebra(sub) is is_subalgebra_oracle(sub)
+    if d == 8:
+        for dim in (2, 5, 20, 63):
+            sub = random_rows_subspace(d, dim, rng)
+            assert not liealg.is_subalgebra(sub)
+            assert not is_subalgebra_oracle(sub)
+
+
+def test_subspace_keeps_validated_matrices_bitwise(rng):
+    mats = []  # Gram-Schmidt on matrices, as the CLI builds a symmetry basis
+    for _ in range(5):
+        r = random_skew(4, rng)
+        for b in mats:
+            r -= trace_inner(b, r) * b
+        mats.append(r / np.sqrt(trace_inner(r, r)))
+    sub = liealg.subspace(4, mats)
+    assert np.array_equal(sub.basis, np.stack(mats))
+    assert not sub.basis.flags.writeable
+    assert sub.rows.shape == (5, 16) and sub.dim == 5
+    assert np.max(np.abs(sub.rows - liealg.coords(np.stack(mats), 4))) == 0.0
+
+
+def test_subspace_from_rows_builds_its_basis_once(rng):
+    sub = random_rows_subspace(4, 3, rng)
+    assert sub.basis is sub.basis
+    assert np.array_equal(sub.basis, liealg.from_coords(sub.rows, 4))
+    assert len(sub.basis) == 3 and [b.shape for b in sub.basis] == [(4, 4)] * 3
+    assert liealg.Subspace(2, ()).basis.shape == (0, 2, 2)
+    assert liealg.full_space(2).dim == 4
+
+
+def test_subspace_validation_names_the_worst_pair():
+    nearly_z = (1j * Z + 1e-3j * Y) / np.sqrt(1 + 1e-6)
+    with pytest.raises(ContractViolation, match=r"<1,2> = 1\.000e\+00"):
+        liealg.subspace(2, [1j * X, 1j * Z, nearly_z])
+    with pytest.raises(ValueError):
+        liealg.subspace(2, [np.eye(4) * 1j])

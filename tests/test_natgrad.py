@@ -187,7 +187,7 @@ def test_trace_csv_format(rng):
     cost = natgrad.ExpectationCost(pauli.parse_pauli_sum("Z", 1))
     trace = natgrad.optimize("gd", c, [0.3, 0.4], circuit.basis_state("0"), cost,
                              lr=0.1, max_iter=5, tol=0.0,
-                             monitors={"probe": lambda th: float(th[0])})
+                             monitor=lambda th: {"probe": float(th[0])})
     text = trace.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "iter,theta_0,theta_1,cost,grad_norm,probe"

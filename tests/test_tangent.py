@@ -211,12 +211,6 @@ def test_induced_split_su2_at_singlet():
     assert liealg.is_subalgebra(u_par)
 
 
-def test_tangent_report_names_generators():
-    lines = tangent.tangent_report([1j * MINUS, 0.5 * PLUS], PLUS)
-    assert "generated by i*Z" in lines[0]
-    assert "generated by" not in lines[1]  # parallel to psi: not a unitary tangent
-
-
 def _induced_split_on_unitaries(t: liealg.Subspace, u: np.ndarray):
     """Free right action on the unitary group itself: tangents are u @ x
     with the rescaled Frobenius inner product."""
@@ -230,7 +224,7 @@ def _induced_split_on_unitaries(t: liealg.Subspace, u: np.ndarray):
     v_rows = orthonormal_rows(np.stack([emb(x) for x in t.basis]))
     p_v = v_rows.T @ v_rows
     comm = liealg.commutant(t)
-    span_rows = orthonormal_rows(np.vstack([liealg.coords_rows(t), liealg.coords_rows(comm)]))
+    span_rows = orthonormal_rows(np.vstack([t.rows, comm.rows]))
     cols = []
     for row in span_rows:
         tau = emb(liealg.from_coords(row, d))
@@ -240,7 +234,7 @@ def _induced_split_on_unitaries(t: liealg.Subspace, u: np.ndarray):
     # the action is free: the kernel is empty and t0 is trivial
     full_cols = np.stack([emb(liealg.from_coords(r, d)) for r in np.eye(d * d)], axis=1)
     assert nullspace_real(full_cols).shape[0] == 0
-    perp_rows = orthonormal_rows(np.vstack([liealg.coords_rows(t), inter]))
+    perp_rows = orthonormal_rows(np.vstack([t.rows, inter]))
     u_perp = liealg.subspace_from_rows(perp_rows, d)
     u_par = liealg.subspace_from_rows(nullspace_real(perp_rows), d)
     return u_par, u_perp
@@ -254,5 +248,5 @@ def test_free_action_split_matches_canonical(rng):
         u = expm_skew(random_skew(d, rng), 1.0)
         u_par, u_perp = _induced_split_on_unitaries(t, u)
         assert liealg.span_distance(u_perp, t) < 1e-10
-        rows = nullspace_real(liealg.coords_rows(t))
+        rows = nullspace_real(t.rows)
         assert liealg.span_distance(u_par, liealg.subspace_from_rows(rows, d)) < 1e-10
