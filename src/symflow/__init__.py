@@ -4,9 +4,9 @@ Equivariant and covariant projected derivatives, Lie-algebra
 decompositions, tangent-space splits, vector potentials, and the
 covariant quantum natural gradient, with exact statevector simulation.
 """
-from .circuit import CircuitSpec, Gate, rotation
+from .circuit import CircuitSpec, ExpectationCost, Gate, SquaredSumCost, rotation
 from .liealg import FourDecomposition, Subspace, four_decomposition, lie_closure
-from .natgrad import ExpectationCost, OptTrace, SquaredSumCost, optimize
+from .natgrad import OptTrace, optimize
 from .pauli import PauliSum, parse_pauli_sum
 from .symgrad import SymGradReport
 from .tangent import SymmetrySpec, TangentFrame

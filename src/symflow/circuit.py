@@ -10,13 +10,16 @@ derived from the same model.
 The evaluation core is :func:`evaluate`: one pass over the gates carries
 psi, every partial d_j psi and the symmetry tangents as one batch of
 states, so everything downstream is a matrix product on its result.
-Each generator's eigendecomposition is computed once and cached
-(:func:`generator_spectrum`), so a gate unitary is a phase multiply.
+Each generator's matrix and eigendecomposition are computed once and
+cached (:func:`generator_matrix`, :func:`generator_spectrum`), so a gate
+unitary is a phase multiply.  A cost spec (:class:`ExpectationCost`,
+:class:`SquaredSumCost`) checks its observables once, holds their
+matrices, and maps psi to the cost and its covector g, dC = 2 Re <g|d psi>.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,9 +104,18 @@ def gate_angle(g: Gate, theta: np.ndarray) -> float:
     return float(theta[g.param]) if g.param is not None else float(g.angle)
 
 
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def generator_matrix(generator: pauli.PauliSum) -> np.ndarray:
+    """Dense matrix of a gate generator, built once per distinct generator
+    (at most ``SPECTRUM_CACHE_SIZE`` of them); the array is read-only."""
+    mat = pauli.to_matrix(generator)
+    mat.setflags(write=False)
+    return mat
+
+
 def gate_skew_generator(g: Gate) -> np.ndarray:
     """Local skew-Hermitian generator i * scale * H."""
-    return 1j * g.scale * pauli.to_matrix(g.generator)
+    return 1j * g.scale * generator_matrix(g.generator)
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
@@ -111,7 +123,7 @@ def generator_spectrum(generator: pauli.PauliSum) -> tuple[np.ndarray, np.ndarra
     """Eigenvalues and eigenvectors of a Hermitian gate generator, computed
     once per distinct generator (the cache holds at most
     ``SPECTRUM_CACHE_SIZE`` of them); the arrays are read-only."""
-    evals, vecs = np.linalg.eigh(pauli.to_matrix(generator))
+    evals, vecs = np.linalg.eigh(generator_matrix(generator))
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return evals, vecs
@@ -307,44 +319,75 @@ def _frame(at_action: np.ndarray, raw: np.ndarray) -> TangentFrame:
     return TangentFrame(raw, gram, onb, len(onb))
 
 
-def expectation(state: Statevector, m: pauli.PauliSum | np.ndarray) -> float:
-    """<state| M |state> for a Pauli sum or its dense matrix."""
-    mat = pauli.to_matrix(m) if isinstance(m, pauli.PauliSum) else m
-    return float(np.vdot(state, mat @ state).real)
+class _ObservableCost:
+    """Shared part of the cost specs: the observables are checked once, at
+    construction, and their dense matrices are built once, on first use."""
+
+    def __post_init__(self):
+        if not all(m.is_hermitian() for m in self.observables):
+            raise ValueError("observable must be Hermitian")
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        return tuple(pauli.to_matrix(m) for m in self.observables)
 
 
-def cost(c: CircuitSpec, theta, psi0: Statevector, m: pauli.PauliSum) -> float:
-    """<psi(theta)| M |psi(theta)> for a Hermitian observable M."""
-    if not m.is_hermitian():
-        raise ValueError("observable must be Hermitian")
-    return expectation(apply(c, theta, psi0), m)
+@dataclass(frozen=True)
+class ExpectationCost(_ObservableCost):
+    """C(theta) = <psi(theta)| M |psi(theta)> for a Hermitian observable M."""
+
+    observable: pauli.PauliSum
+
+    @property
+    def observables(self) -> tuple[pauli.PauliSum, ...]:
+        return (self.observable,)
+
+    def value_and_covector(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
+        """C at psi and the covector g = M psi, dC = 2 Re <g|d psi>."""
+        m_psi = self.matrices[0] @ psi
+        return float(np.real(np.vdot(psi, m_psi))), m_psi
 
 
-def cost_partial(c: CircuitSpec, theta, j: int, psi0: Statevector, m: pauli.PauliSum) -> float:
-    """d C / d theta_j as 2 Re <psi| M |d_j psi>."""
+@dataclass(frozen=True)
+class SquaredSumCost(_ObservableCost):
+    """C(theta) = sum_M <psi(theta)| M |psi(theta)>^2."""
+
+    observables: tuple[pauli.PauliSum, ...]
+
+    def value_and_covector(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
+        """C at psi and the covector g = sum_M 2 <M> M psi, dC = 2 Re <g|d psi>."""
+        m_psis = [mat @ psi for mat in self.matrices]
+        values = [float(np.real(np.vdot(psi, m_psi))) for m_psi in m_psis]
+        return float(sum(v**2 for v in values)), sum(2.0 * v * g for v, g in zip(values, m_psis))
+
+
+CostSpec = ExpectationCost | SquaredSumCost
+
+
+def as_cost(m: CostSpec | pauli.PauliSum) -> CostSpec:
+    """A cost spec, or the expectation of a bare Hermitian Pauli sum."""
+    return ExpectationCost(m) if isinstance(m, pauli.PauliSum) else m
+
+
+def cost(c: CircuitSpec, theta, psi0: Statevector, m: CostSpec | pauli.PauliSum) -> float:
+    """The cost at psi(theta); a bare Pauli sum M is the expectation <M>."""
+    return as_cost(m).value_and_covector(apply(c, theta, psi0))[0]
+
+
+def cost_partial(c: CircuitSpec, theta, j: int, psi0: Statevector,
+                 m: CostSpec | pauli.PauliSum) -> float:
+    """d C / d theta_j, entry j of :func:`cost_gradient`."""
     if not 0 <= j < c.n_params:
         raise ValueError(f"parameter index {j} out of range")
     return float(cost_gradient(c, theta, psi0, m)[j])
 
 
-def cost_partial_commutator(c: CircuitSpec, theta, j: int, psi0: Statevector,
-                            m: pauli.PauliSum) -> float:
-    """Same derivative via <psi0| [M~, Omega_j] |psi0> with the conjugated
-    observable M~ = U^dag M U; cross-checks the overlap route."""
-    theta = check_theta(c, theta)
-    u = build_unitary(c, theta)
-    m_tilde = u.conj().T @ pauli.to_matrix(m) @ u
-    omega = effective_generator(c, theta, j, "right")
-    comm = m_tilde @ omega - omega @ m_tilde
-    return float(np.real(np.vdot(psi0, comm @ np.asarray(psi0, dtype=complex))))
-
-
-def cost_gradient(c: CircuitSpec, theta, psi0: Statevector, m: pauli.PauliSum) -> np.ndarray:
-    """All d C / d theta_j = 2 Re <M psi|d_j psi> from one sweep."""
-    if not m.is_hermitian():
-        raise ValueError("observable must be Hermitian")
+def cost_gradient(c: CircuitSpec, theta, psi0: Statevector,
+                  m: CostSpec | pauli.PauliSum) -> np.ndarray:
+    """All d C / d theta_j = 2 Re <g|d_j psi> from one sweep, g the cost's
+    covector (M psi for the expectation of M)."""
     ev = evaluate(c, theta, psi0)
-    return ev.gradient(pauli.to_matrix(m) @ ev.psi)
+    return ev.gradient(as_cost(m).value_and_covector(ev.psi)[1])
 
 
 def dla(c: CircuitSpec) -> liealg.Subspace:

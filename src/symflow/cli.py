@@ -44,7 +44,7 @@ class Problem:
     circuit: circuit.CircuitSpec
     initial_state_spec: object
     symmetry: SymmetrySpec | None = None
-    cost: natgrad.CostSpec | None = None
+    cost: circuit.CostSpec | None = None
     optimizer: OptimizerConfig | None = None
 
     def initial_state(self, seed_override: int | None = None) -> np.ndarray:
@@ -63,13 +63,16 @@ def resolve_initial_state(spec, n_qubits: int, seed_override: int | None = None)
         return circuit.basis_state(spec)
     amps = []
     for entry in spec:
-        if isinstance(entry, (list, tuple)):
-            if len(entry) != 2:
-                raise SpecError(f"amplitude entry {entry!r} is not a [re, im] pair")
-            amps.append(entry[0] + 1j * entry[1])
-        else:
-            amps.append(complex(entry))
+        pair = isinstance(entry, (list, tuple))
+        if pair and len(entry) != 2:
+            raise SpecError(f"amplitude entry {entry!r} is not a [re, im] pair")
+        try:
+            amps.append(entry[0] + 1j * entry[1] if pair else complex(entry))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad initial_state amplitude {entry!r}: {exc}") from exc
     psi = np.asarray(amps, dtype=complex)
+    if not np.all(np.isfinite(psi)):
+        raise SpecError("initial_state amplitudes must be finite")
     if psi.shape != (2**n_qubits,):
         raise SpecError(f"state has {psi.size} amplitudes, expected {2 ** n_qubits}")
     norm = np.linalg.norm(psi)
@@ -97,16 +100,29 @@ def symmetry_from_strings(strings, action: str, n_qubits: int) -> SymmetrySpec:
     return SymmetrySpec(sub, action)
 
 
+def _finite(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = float("nan")
+    if not np.isfinite(x):
+        raise SpecError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
 def _parse_gate(entry: dict) -> circuit.Gate:
     try:
         wires = tuple(int(w) for w in entry["wires"])
         gen = pauli.parse_pauli_sum(entry["h"], len(wires))
+        param, angle = entry.get("param"), entry.get("angle")
+        if param is not None and not _is_int(param):
+            raise SpecError(f"param must be an integer, got {param!r}")
         return circuit.Gate(
             generator=gen,
             wires=wires,
-            param=entry.get("param"),
-            angle=entry.get("angle"),
-            scale=float(entry.get("scale", -1.0)),
+            param=param,
+            angle=None if angle is None else _finite(angle, "angle"),
+            scale=_finite(entry.get("scale", -1.0), "scale"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad gate entry {entry!r}: {exc}") from exc
@@ -147,23 +163,15 @@ def problem_from_dict(data: dict) -> Problem:
     cost = None
     if "observable" in data:
         entry = data["observable"]
-        if isinstance(entry, str):
-            m = pauli.parse_pauli_sum(entry, n)
-            if not m.is_hermitian():
-                raise SpecError(f"observable {entry!r} is not Hermitian")
-            cost = natgrad.ExpectationCost(m)
-        elif isinstance(entry, dict) and entry.get("kind") == "squared_sum":
-            terms = []
-            for text in entry.get("terms", []):
-                m = pauli.parse_pauli_sum(text, n)
-                if not m.is_hermitian():
-                    raise SpecError(f"observable {text!r} is not Hermitian")
-                terms.append(m)
-            if not terms:
-                raise SpecError("squared_sum observable needs at least one term")
-            cost = natgrad.SquaredSumCost(tuple(terms))
-        else:
-            raise SpecError(f"bad observable entry {entry!r}")
+        squared = isinstance(entry, dict) and entry.get("kind") == "squared_sum"
+        if not (isinstance(entry, str) or squared and entry.get("terms")):
+            raise SpecError(f"bad observable entry {entry!r} (a squared_sum needs terms)")
+        try:
+            texts = entry["terms"] if squared else [entry]
+            terms = tuple(pauli.parse_pauli_sum(t, n) for t in texts)
+            cost = circuit.SquaredSumCost(terms) if squared else circuit.ExpectationCost(terms[0])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SpecError(f"bad observable {entry!r}: {exc}") from exc
 
     opt = None
     if "optimizer" in data:
@@ -172,9 +180,9 @@ def problem_from_dict(data: dict) -> Problem:
             raise SpecError(f"bad optimizer block {block!r}")
         opt = OptimizerConfig(
             method=block.get("method", "gd"),
-            lr=_optimizer_number(block, "lr", 0.5),
+            lr=_finite(block.get("lr", 0.5), "optimizer lr"),
             max_iter=block.get("max_iter", 2000),
-            tol=_optimizer_number(block, "tol", 1e-9),
+            tol=_finite(block.get("tol", 1e-9), "optimizer tol"),
             seed=block.get("seed"),
         )
         check_optimizer(opt)
@@ -185,13 +193,6 @@ def problem_from_dict(data: dict) -> Problem:
         raise SpecError("problem needs an initial_state")
     resolve_initial_state(data["initial_state"], n)  # validate eagerly
     return Problem(c, data["initial_state"], sym, cost, opt)
-
-
-def _optimizer_number(block: dict, key: str, default: float) -> float:
-    try:
-        return float(block.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"optimizer {key} must be a number, got {block[key]!r}") from exc
 
 
 def _is_int(value) -> bool:
@@ -226,7 +227,7 @@ def entangling_problem(seed: int = 0) -> Problem:
     )
     c = circuit.CircuitSpec(2, gates, 3)
     sym = symmetry_from_strings(["i*XI", "i*YI", "i*ZI"], "left", 2)
-    cost = natgrad.SquaredSumCost(tuple(
+    cost = circuit.SquaredSumCost(tuple(
         pauli.parse_pauli_sum(w, 2) for w in ("XI", "YI", "ZI")
     ))
     return Problem(c, f"random_product:{seed}", sym, cost,
@@ -282,11 +283,11 @@ def cmd_grad(args) -> int:
 
     payload: dict = {"kind": args.kind, "theta": theta.tolist()}
     if args.kind == "partial":
-        payload["partial"] = natgrad.cost_gradient(problem.cost, c, theta, psi0).tolist()
+        payload["partial"] = circuit.cost_gradient(c, theta, psi0, problem.cost).tolist()
     else:
         if problem.symmetry is None:
             raise SpecError(f"kind={args.kind} needs a symmetry block")
-        report = natgrad.projected_cost_report(
+        report = symgrad.projected_cost_report(
             args.kind, problem.symmetry, c, theta, psi0, problem.cost
         )
         payload.update(json.loads(report.to_json()))
@@ -309,12 +310,13 @@ def cmd_optimize(args) -> int:
     monitor = None
     if c.n_qubits >= 2:
         pre = pre_entangler_circuit(c)
-        x1, z2 = (pauli.to_matrix(pauli.parse_pauli_sum(w, c.n_qubits))
+        x1, z2 = (circuit.ExpectationCost(pauli.parse_pauli_sum(w, c.n_qubits))
                   for w in ("X" + "I" * (c.n_qubits - 1), "IZ" + "I" * (c.n_qubits - 2)))
 
         def monitor(th):
             psi = circuit.apply(pre, th, psi0)
-            return {"X1_pre": circuit.expectation(psi, x1), "Z2_pre": circuit.expectation(psi, z2)}
+            return {"X1_pre": x1.value_and_covector(psi)[0],
+                    "Z2_pre": z2.value_and_covector(psi)[0]}
 
     trace = natgrad.optimize(
         cfg.method, c, None, psi0, problem.cost, lr=lr, max_iter=max_iter,

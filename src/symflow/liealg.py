@@ -228,26 +228,35 @@ def commutant(sub: Subspace, d: int | None = None) -> Subspace:
     return subspace_from_rows(nullspace_real(_ad_matrix(sub.basis, d)), d)
 
 
-def _brackets(sub: Subspace):
-    """Coordinates of the basis brackets [b_a, b_c], a few a at a time
-    against the stacked basis: yields arrays of shape (k, dim, d*d) whose
-    chunks hold about BRACKET_CHUNK complex entries, so the full
-    dim**2 x d**2 array never exists at once."""
+def _brackets(sub: Subspace, tol: float = SUBALGEBRA_TOL):
+    """Per chunk of the basis brackets [b_a, b_c], a few a at a time against
+    the stacked basis (about BRACKET_CHUNK complex entries, so the full
+    dim**2 x d**2 array never exists): whether they stay in the span, to
+    ``tol`` relative to their size, and their span components
+    f[a, c, b] = <b_b, [b_a, b_c]>, shape (k, dim, dim)."""
     d, mats = sub.dim_ambient, sub.basis
     step = max(1, BRACKET_CHUNK // max(1, sub.dim * d * d))
     for start in range(0, sub.dim, step):
         y = mats[start:start + step, None]
-        yield coords(y @ mats - mats @ y, d)
+        comm = coords(y @ mats - mats @ y, d)
+        f = comm @ sub.rows.T
+        scale = np.maximum(1.0, np.linalg.norm(comm, axis=-1))
+        yield not np.any(np.linalg.norm(comm - f @ sub.rows, axis=-1) > tol * scale), f
 
 
 def is_subalgebra(sub: Subspace, tol: float = SUBALGEBRA_TOL) -> bool:
     """Whether every pairwise bracket of basis elements stays in the span."""
-    for comm in _brackets(sub):
-        residual = comm - (comm @ sub.rows.T) @ sub.rows
-        scale = np.maximum(1.0, np.linalg.norm(comm, axis=-1))
-        if np.any(np.linalg.norm(residual, axis=-1) > tol * scale):
-            return False
-    return True
+    return all(closed for closed, _ in _brackets(sub, tol))
+
+
+def _closure_and_center(sub: Subspace) -> tuple[bool, Subspace]:
+    """Whether the subspace is bracket-closed, and its center: one bracket pass."""
+    if sub.dim == 0:
+        return True, Subspace(sub.dim_ambient, ())
+    closed, f = zip(*_brackets(sub))
+    # sum_c x_c b_c is central iff sum_c x_c f[a, c, b] = 0 for every (a, b)
+    coeff_rows = nullspace_real(np.concatenate(f).transpose(0, 2, 1).reshape(-1, sub.dim))
+    return all(closed), subspace_from_rows(coeff_rows @ sub.rows, sub.dim_ambient)
 
 
 def center(sub: Subspace) -> Subspace:
@@ -256,15 +265,10 @@ def center(sub: Subspace) -> Subspace:
     Works on the brackets' components in the span, which are the whole
     brackets when the subspace is bracket-closed; otherwise it warns, and
     the result only has brackets orthogonal to the subspace."""
-    if sub.dim == 0:
-        return Subspace(sub.dim_ambient, ())
-    if not is_subalgebra(sub):
+    closed, z = _closure_and_center(sub)
+    if not closed:
         warnings.warn("center() called on a subspace that is not bracket-closed")
-    # f[a, b, c] = <b_c, [b_a, b_b]>; sum_b x_b b_b is central iff
-    # sum_b x_b f[a, b, c] = 0 for every (a, c)
-    f = np.concatenate([comm @ sub.rows.T for comm in _brackets(sub)])
-    coeff_rows = nullspace_real(f.transpose(0, 2, 1).reshape(-1, sub.dim))
-    return subspace_from_rows(coeff_rows @ sub.rows, sub.dim_ambient)
+    return z
 
 
 def complement_within(sub: Subspace, inner: Subspace) -> Subspace:
@@ -291,10 +295,10 @@ def four_decomposition(t: Subspace, d: int | None = None) -> FourDecomposition:
     """Split u(d) into the remainder, the centerless commutant, the center
     of the symmetry algebra, and the centerless symmetry algebra."""
     d = t.dim_ambient if d is None else d
-    if not is_subalgebra(t):
+    closed, z = _closure_and_center(t)
+    if not closed:
         raise ContractViolation("symmetry subspace is not closed under the bracket")
     u_t = commutant(t, d)
-    z = center(t)
     ut_centerless = complement_within(u_t, z)
     t_centerless = complement_within(t, z)
     r = subspace_from_rows(nullspace_real(np.vstack([u_t.rows, t.rows])), d)

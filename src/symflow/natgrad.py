@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import circuit, pauli, symgrad, tangent
+from .circuit import CostSpec
 from .nummat import pinv_psd
 from .tangent import SymmetrySpec
 
@@ -23,23 +24,6 @@ from .tangent import SymmetrySpec
 class MetricMatrix:
     entries: np.ndarray
     kind: str  # "fubini_study" or "covariant"
-
-
-@dataclass(frozen=True)
-class ExpectationCost:
-    """C(theta) = <psi(theta)| M |psi(theta)>."""
-
-    observable: pauli.PauliSum
-
-
-@dataclass(frozen=True)
-class SquaredSumCost:
-    """C(theta) = sum_M <psi(theta)| M |psi(theta)>^2."""
-
-    observables: tuple[pauli.PauliSum, ...]
-
-
-CostSpec = ExpectationCost | SquaredSumCost
 
 
 @dataclass
@@ -102,37 +86,22 @@ def covariant_metric(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> 
     return MetricMatrix(_metric(tangent.evaluate(sym, c, theta, psi0)), "covariant")
 
 
-def _value_and_covector(spec: CostSpec, psi: np.ndarray) -> tuple[float, np.ndarray]:
-    """C at the state psi and the covector g with dC = 2 Re <g|d psi>."""
-    observables = (spec.observable,) if isinstance(spec, ExpectationCost) else spec.observables
-    if not all(m.is_hermitian() for m in observables):
-        raise ValueError("observable must be Hermitian")
-    m_psis = [pauli.to_matrix(m) @ psi for m in observables]
-    values = [float(np.real(np.vdot(psi, m_psi))) for m_psi in m_psis]
-    if isinstance(spec, ExpectationCost):
-        return values[0], m_psis[0]
-    return float(sum(v**2 for v in values)), sum(2.0 * v * g for v, g in zip(values, m_psis))
+def _check_lr(lr: float) -> None:
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and > 0, got {lr!r}")
 
 
-def cost_value(spec: CostSpec, c: circuit.CircuitSpec, theta, psi0) -> float:
-    return _value_and_covector(spec, circuit.apply(c, theta, psi0))[0]
-
-
-def cost_gradient(spec: CostSpec, c: circuit.CircuitSpec, theta, psi0) -> np.ndarray:
-    ev = circuit.evaluate(c, theta, psi0)
-    return ev.gradient(_value_and_covector(spec, ev.psi)[1])
-
-
-def projected_cost_report(kind: str, sym: SymmetrySpec, c: circuit.CircuitSpec,
-                          theta, psi0, cost_spec: CostSpec) -> symgrad.SymGradReport:
-    """Covariant or equivariant cost report for either cost form, from one
-    evaluation; a squared sum enters through its covector
-    sum_M 2 <M> M psi (the chain rule), so the report is built once."""
-    if kind not in ("covariant", "equivariant"):
-        raise ValueError(f"kind must be 'covariant' or 'equivariant', got {kind!r}")
-    basis_kind = "vertical" if kind == "covariant" else "equivariant"
-    ev = tangent.evaluate(sym, c, theta, psi0, basis_kind)
-    return symgrad._cost_report(ev, _value_and_covector(cost_spec, ev.psi)[1], basis_kind)
+def _drive(method: str, sym: SymmetrySpec | None, c: circuit.CircuitSpec, theta: np.ndarray,
+           psi0, cost: CostSpec) -> tuple[circuit.Evaluation, float, np.ndarray]:
+    """One evaluation at theta, with the frame the method's metric needs,
+    and the cost and driving gradient there: the covariant gradient for
+    cqng, the plain one for gd and qng."""
+    ev = (tangent.evaluate(sym, c, theta, psi0) if method == "cqng" else
+          circuit.evaluate(c, theta, psi0, _global_phase(c.dim) if method == "qng" else ()))
+    value, covector = cost.value_and_covector(ev.psi)
+    if method == "cqng":
+        return ev, value, symgrad._cost_report(ev, covector, "vertical").projected
+    return ev, value, ev.gradient(covector)
 
 
 def _natural_step(ev: circuit.Evaluation, theta: np.ndarray, grad: np.ndarray,
@@ -141,23 +110,24 @@ def _natural_step(ev: circuit.Evaluation, theta: np.ndarray, grad: np.ndarray,
     return theta - lr * 0.5 * (pinv_psd(_metric(ev)) @ grad)
 
 
-def qng_step(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, lr: float) -> np.ndarray:
+def _one_step(method: str, sym: SymmetrySpec | None, c: circuit.CircuitSpec, theta, psi0,
+              m: pauli.PauliSum, lr: float) -> np.ndarray:
+    _check_lr(lr)
     theta = circuit.check_theta(c, theta)
-    ev = circuit.evaluate(c, theta, psi0, _global_phase(c.dim))
-    grad = ev.gradient(_value_and_covector(ExpectationCost(m), ev.psi)[1])
+    ev, _, grad = _drive(method, sym, c, theta, psi0, circuit.ExpectationCost(m))
     return _natural_step(ev, theta, grad, lr)
+
+
+def qng_step(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, lr: float) -> np.ndarray:
+    """One natural-gradient step theta' = theta - lr * (1/2) * F^+ * grad."""
+    return _one_step("qng", None, c, theta, psi0, m, lr)
 
 
 def cqng_step(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
               m: pauli.PauliSum, lr: float) -> np.ndarray:
     """One covariant natural-gradient step
     theta' = theta - lr * (1/2) * (F^S)^+ * gradS."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    theta = circuit.check_theta(c, theta)
-    ev = tangent.evaluate(sym, c, theta, psi0)
-    covector = _value_and_covector(ExpectationCost(m), ev.psi)[1]
-    return _natural_step(ev, theta, symgrad._cost_report(ev, covector, "vertical").projected, lr)
+    return _one_step("cqng", sym, c, theta, psi0, m, lr)
 
 
 def sample_theta0(n_params: int, seed: int | None) -> np.ndarray:
@@ -181,22 +151,12 @@ def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostS
         raise ValueError(f"unknown method {method!r}")
     if method == "cqng" and sym is None:
         raise ValueError("cqng requires a symmetry")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    _check_lr(lr)
     theta = sample_theta0(c.n_params, seed) if theta0 is None else \
         circuit.check_theta(c, theta0).copy()
-    if method == "cqng":
-        generators, action = sym.generators.basis, sym.action
-    else:
-        generators, action = (_global_phase(c.dim) if method == "qng" else ()), "left"
     trace = OptTrace()
     for it in range(max_iter + 1):
-        ev = circuit.evaluate(c, theta, psi0, generators, action)
-        value, covector = _value_and_covector(cost_spec, ev.psi)
-        if method == "cqng":
-            grad = symgrad._cost_report(ev, covector, "vertical").projected
-        else:
-            grad = ev.gradient(covector)
+        ev, value, grad = _drive(method, sym, c, theta, psi0, cost_spec)
         gnorm = float(np.linalg.norm(grad))
         extras = monitor(theta) if monitor else {}
         trace.records.append(TraceRecord(it, theta.copy(), value, gnorm, extras))

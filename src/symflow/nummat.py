@@ -111,13 +111,6 @@ def pinv_psd(g, rel_tol: float | None = None) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def sqrt_pinv_psd(g, rel_tol: float | None = None) -> np.ndarray:
-    """Principal square root of ``pinv_psd(g)``."""
-    evals, vecs, cut = _psd_eig(g, rel_tol)
-    inv = np.where(evals > cut, 1.0 / np.sqrt(np.where(evals > cut, evals, 1.0)), 0.0)
-    return (vecs * inv) @ vecs.T
-
-
 def nullspace_real(m, rel_tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the right nullspace of a real matrix, as rows."""
     m = np.atleast_2d(np.asarray(m, dtype=float))

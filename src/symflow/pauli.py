@@ -89,10 +89,12 @@ _SIGN_SPLIT = re.compile(r"(?<![eE])([+-])")
 
 def _parse_coeff(text: str) -> complex:
     text = text.strip()
-    if text.endswith(("i", "j")):
-        body = text[:-1].strip()
-        return 1j * (float(body) if body else 1.0)
-    return complex(float(text))
+    imaginary = text.endswith(("i", "j"))
+    body = text[:-1].strip() if imaginary else text
+    value = float(body) if body else 1.0
+    if not np.isfinite(value):
+        raise ValueError(f"coefficient {text!r} is not finite")
+    return 1j * value if imaginary else complex(value)
 
 
 def parse_pauli_sum(text: str, n_qubits: int) -> PauliSum:

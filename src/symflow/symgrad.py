@@ -97,41 +97,14 @@ def symmetry_derivative(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
                         m: pauli.PauliSum, basis_kind: str = "vertical") -> np.ndarray:
     """Cost response to infinitesimal symmetry insertions:
     m_a = 2 Re <psi| M |Z_a> with Z_a the raw symmetry tangents."""
-    return _observable_report(sym, c, theta, psi0, m, basis_kind).m
+    kind = "covariant" if basis_kind == "vertical" else basis_kind
+    return projected_cost_report(kind, sym, c, theta, psi0, m).m
 
 
 def overlap_omega(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
                   basis_kind: str = "vertical") -> np.ndarray:
     """omega[b, j] = Re <Z_b | d_j psi>, computed from statevectors."""
     return _omega(tangent.evaluate(sym, c, theta, psi0, basis_kind))
-
-
-def omega_anticommutator(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
-                         basis_kind: str = "vertical") -> np.ndarray:
-    """Cross-check route for omega via (1/2) <{z^dag, Omega}> at the action
-    point: right-effective generators at psi0 for the theta action,
-    left-effective generators at psi(theta) for the left action."""
-    z_mats = tangent.z_basis(sym, basis_kind)
-    theta = circuit.check_theta(c, theta)
-    if sym.action == "theta":
-        base = np.asarray(psi0, dtype=complex)
-        side = "right"
-    else:
-        base = circuit.apply(c, theta, psi0)
-        side = "left"
-    omegas = []
-    for j in range(c.n_params):
-        try:
-            omegas.append(circuit.effective_generator(c, theta, j, side))
-        except ValueError:
-            omegas.append(np.zeros((c.dim, c.dim), dtype=complex))
-    out = np.zeros((len(z_mats), c.n_params))
-    for b, z in enumerate(z_mats):
-        zd = z.conj().T
-        for j, om in enumerate(omegas):
-            anti = zd @ om + om @ zd
-            out[b, j] = 0.5 * float(np.real(np.vdot(base, anti @ base)))
-    return out
 
 
 def _cost_report(ev: circuit.Evaluation, covector: np.ndarray,
@@ -154,24 +127,28 @@ def _cost_report(ev: circuit.Evaluation, covector: np.ndarray,
     )
 
 
-def _observable_report(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
-                       m: pauli.PauliSum, basis_kind: str) -> SymGradReport:
-    if not m.is_hermitian():
-        raise ValueError("observable must be Hermitian")
+def projected_cost_report(kind: str, sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
+                          psi0, cost: circuit.CostSpec | pauli.PauliSum) -> SymGradReport:
+    """Covariant or equivariant report for a cost spec or a bare Hermitian
+    observable, from one evaluation; a squared sum enters through its
+    covector, so the report is built once, not once per observable."""
+    if kind not in ("covariant", "equivariant"):
+        raise ValueError(f"kind must be 'covariant' or 'equivariant', got {kind!r}")
+    basis_kind = "vertical" if kind == "covariant" else "equivariant"
     ev = tangent.evaluate(sym, c, theta, psi0, basis_kind)
-    return _cost_report(ev, pauli.to_matrix(m) @ ev.psi, basis_kind)
+    return _cost_report(ev, circuit.as_cost(cost).value_and_covector(ev.psi)[1], basis_kind)
 
 
 def covariant_derivative_cost(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                               psi0, m: pauli.PauliSum) -> SymGradReport:
     """D_j C = d_j C - m_a (G^+)_{ab} omega_{bj} over the symmetry basis."""
-    return _observable_report(sym, c, theta, psi0, m, "vertical")
+    return projected_cost_report("covariant", sym, c, theta, psi0, m)
 
 
 def equivariant_derivative_cost(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                                 psi0, m: pauli.PauliSum) -> SymGradReport:
     """E_j C = m^E_a (G~^+)_{ab} omega^E_{bj} over the commutant basis."""
-    return _observable_report(sym, c, theta, psi0, m, "equivariant")
+    return projected_cost_report("equivariant", sym, c, theta, psi0, m)
 
 
 def vector_potential(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> np.ndarray:

@@ -55,15 +55,6 @@ class StateFourDecomposition:
     residual_dim: int
 
 
-def real_overlap(x, y) -> float:
-    """Re <x|y> on state tangents."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return float(np.real(np.vdot(x, y)))
-
-
 def embed_real(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     return np.concatenate([v.real, v.imag])

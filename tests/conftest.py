@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symflow import circuit, liealg, pauli
+from symflow import circuit, liealg, nummat, pauli, tangent
 
 
 def random_skew(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,6 +82,58 @@ def same_tangent_span(vecs, targets, tol: float = 1e-8) -> bool:
     if a.shape != b.shape:
         return False
     return bool(np.max(np.abs(a.T @ a - b.T @ b)) < tol)
+
+
+# Second routes to library quantities, kept here as oracles.
+
+def real_overlap(x, y) -> float:
+    """Re <x|y> on state tangents."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    return float(np.real(np.vdot(x, y)))
+
+
+def sqrt_pinv_psd(g) -> np.ndarray:
+    """Principal square root of ``nummat.pinv_psd(g)``."""
+    evals, vecs = np.linalg.eigh(nummat.pinv_psd(g))
+    return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
+
+
+def cost_partial_commutator(c, theta, j: int, psi0, m: pauli.PauliSum) -> float:
+    """d C / d theta_j via <psi0| [M~, Omega_j] |psi0> with the conjugated
+    observable M~ = U^dag M U and the right-effective generator Omega_j."""
+    theta = circuit.check_theta(c, theta)
+    u = circuit.build_unitary(c, theta)
+    m_tilde = u.conj().T @ pauli.to_matrix(m) @ u
+    omega = circuit.effective_generator(c, theta, j, "right")
+    comm = m_tilde @ omega - omega @ m_tilde
+    return float(np.real(np.vdot(psi0, comm @ np.asarray(psi0, dtype=complex))))
+
+
+def omega_anticommutator(sym, c, theta, psi0, basis_kind: str = "vertical") -> np.ndarray:
+    """omega[b, j] via (1/2) <{z_b^dag, Omega_j}> at the action point:
+    right-effective generators at psi0 for the theta action, left-effective
+    generators at psi(theta) for the left action."""
+    z_mats = tangent.z_basis(sym, basis_kind)
+    theta = circuit.check_theta(c, theta)
+    if sym.action == "theta":
+        base, side = np.asarray(psi0, dtype=complex), "right"
+    else:
+        base, side = circuit.apply(c, theta, psi0), "left"
+    omegas = []
+    for j in range(c.n_params):
+        try:
+            omegas.append(circuit.effective_generator(c, theta, j, side))
+        except ValueError:  # parameter j drives no gate
+            omegas.append(np.zeros((c.dim, c.dim), dtype=complex))
+    out = np.zeros((len(z_mats), c.n_params))
+    for b, z in enumerate(z_mats):
+        zd = z.conj().T
+        for j, om in enumerate(omegas):
+            out[b, j] = 0.5 * float(np.real(np.vdot(base, (zd @ om + om @ zd) @ base)))
+    return out
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import pytest
 
 from symflow import circuit, liealg, pauli
 from conftest import (
+    cost_partial_commutator,
     random_circuit,
     random_observable,
     random_state,
@@ -198,6 +199,28 @@ def test_cost_rejects_non_hermitian(rng):
                      pauli.parse_pauli_sum("i*Z", 1))
 
 
+@pytest.mark.parametrize("make", [
+    lambda m: circuit.ExpectationCost(m),
+    lambda m: circuit.SquaredSumCost((pauli.parse_pauli_sum("Z", 1), m)),
+])
+def test_cost_specs_reject_non_hermitian(make):
+    with pytest.raises(ValueError, match="Hermitian"):
+        make(pauli.parse_pauli_sum("X + i*Z", 1))
+
+
+def test_cost_specs_build_matrices_once(rng, monkeypatch):
+    calls = []
+    to_matrix = pauli.to_matrix
+    monkeypatch.setattr(pauli, "to_matrix", lambda p: calls.append(p) or to_matrix(p))
+    observables = tuple(random_observable(2, rng) for _ in range(3))
+    for spec in (circuit.ExpectationCost(observables[0]), circuit.SquaredSumCost(observables)):
+        calls.clear()
+        for _ in range(4):
+            value, covector = spec.value_and_covector(random_state(2, rng))
+        assert len(calls) == len(spec.observables)
+        assert covector.shape == (4,)
+
+
 def test_cost_partial_finite_difference(rng):
     c = random_circuit(2, 3, rng)
     theta = rng.uniform(0, 2 * np.pi, 3)
@@ -218,7 +241,7 @@ def test_cost_partial_commutator_route(rng):
     m = random_observable(2, rng)
     for j in range(3):
         a = circuit.cost_partial(c, theta, j, psi0, m)
-        b = circuit.cost_partial_commutator(c, theta, j, psi0, m)
+        b = cost_partial_commutator(c, theta, j, psi0, m)
         assert a == pytest.approx(b, abs=1e-10)
 
 

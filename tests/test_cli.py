@@ -272,6 +272,41 @@ def test_optimize_bad_override_exit_2(tmp_path, flags):
     assert not out.exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+MALFORMED = {
+    "param-float": ("param", lambda d: d["circuit"]["gates"][0].update(param=0.0)),
+    "param-bool": ("param", lambda d: d["circuit"]["gates"][0].update(param=False)),
+    "angle-list": ("angle", lambda d: d["circuit"]["gates"][1].update(angle=[1])),
+    "angle-nan": ("angle", lambda d: d["circuit"]["gates"][1].update(angle=NAN)),
+    "scale-nan": ("scale", lambda d: d["circuit"]["gates"][1].update(scale=NAN)),
+    "coeff-inf": ("inf", lambda d: d["circuit"]["gates"][1].update(h="inf*Z")),
+    "amp-nan": ("initial_state", lambda d: d.update(initial_state=[NAN, 1.0])),
+    "amp-inf": ("initial_state", lambda d: d.update(initial_state=[INF, 1.0])),
+    "amp-pair-nan": ("initial_state", lambda d: d.update(initial_state=[[1.0, NAN], [0.0, 0.0]])),
+    "amp-pair-str": ("initial_state", lambda d: d.update(initial_state=[["a", 1.0], [0.0, 0.0]])),
+    "coeff-nan": ("nan", lambda d: d.update(observable="Z + nan*Y")),
+    "observable-non-hermitian": ("observable", lambda d: d.update(observable="i*Z")),
+    "observable-no-terms": ("observable", lambda d: d.update(
+        observable={"kind": "squared_sum", "terms": []})),
+}
+
+
+@pytest.mark.parametrize("field, edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_grad_malformed_input_exit_2(tmp_path, capsys, field, edit):
+    data = {
+        "circuit": {"n_qubits": 1, "n_params": 1, "gates": [
+            {"h": "0.5*Y", "wires": [0], "param": 0},
+            {"h": "0.5*Z", "wires": [0], "angle": 0.3}]},
+        "initial_state": [1.0, 0.0],
+        "observable": "Z",
+    }
+    edit(data)
+    assert cli.main(["grad", write_spec(tmp_path, data)]) == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0", "1"])
 def test_bad_symflow_tol_exit_2(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("SYMFLOW_TOL", value)

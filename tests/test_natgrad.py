@@ -6,6 +6,7 @@ from conftest import (
     random_circuit,
     random_observable,
     random_state,
+    real_overlap,
     single_qubit_example,
 )
 
@@ -70,7 +71,7 @@ def test_covariant_metric_is_gram_of_covariant_derivatives(rng):
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), "left")
     fs = natgrad.covariant_metric(sym, c, theta, psi0).entries
     ders = [symgrad.covariant_derivative_state(sym, c, theta, j, psi0) for j in range(3)]
-    want = np.array([[tangent.real_overlap(a, b) for b in ders] for a in ders])
+    want = np.array([[real_overlap(a, b) for b in ders] for a in ders])
     assert np.max(np.abs(fs - want)) < 1e-12
 
 
@@ -137,7 +138,7 @@ def test_cqng_cost_non_increasing_on_entangling_demo():
 
 def test_optimize_stationary_start(rng):
     c = random_circuit(1, 2, rng)
-    cost = natgrad.ExpectationCost(pauli.parse_pauli_sum("I", 1))
+    cost = circuit.ExpectationCost(pauli.parse_pauli_sum("I", 1))
     trace = natgrad.optimize("gd", c, rng.uniform(0, 2, 2), circuit.basis_state("0"),
                              cost, lr=0.1)
     assert len(trace.records) == 1
@@ -166,13 +167,28 @@ def test_gd_and_cqng_reach_same_minimum():
 
 def test_optimize_method_validation(rng):
     c = random_circuit(1, 1, rng)
-    cost = natgrad.ExpectationCost(pauli.parse_pauli_sum("Z", 1))
+    cost = circuit.ExpectationCost(pauli.parse_pauli_sum("Z", 1))
     with pytest.raises(ValueError):
         natgrad.optimize("newton", c, [0.1], circuit.basis_state("0"), cost)
     with pytest.raises(ValueError):
         natgrad.optimize("cqng", c, [0.1], circuit.basis_state("0"), cost)  # no sym
     with pytest.raises(ValueError):
         natgrad.optimize("gd", c, [0.1], circuit.basis_state("0"), cost, lr=-1.0)
+
+
+@pytest.mark.parametrize("lr", [-1.0, 0.0, float("nan"), float("inf")])
+def test_steps_and_optimize_reject_bad_lr(rng, lr):
+    c = random_circuit(1, 2, rng)
+    theta, psi0 = [0.1, 0.2], circuit.basis_state("0")
+    obs = pauli.parse_pauli_sum("Z", 1)
+    calls = [
+        lambda: natgrad.qng_step(c, theta, psi0, obs, lr=lr),
+        lambda: natgrad.cqng_step(global_phase_sym(2), c, theta, psi0, obs, lr=lr),
+        lambda: natgrad.optimize("gd", c, theta, psi0, circuit.ExpectationCost(obs), lr=lr),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="learning rate"):
+            call()
 
 
 def test_theta0_sampling_deterministic():
@@ -184,7 +200,7 @@ def test_theta0_sampling_deterministic():
 
 def test_trace_csv_format(rng):
     c = random_circuit(1, 2, rng)
-    cost = natgrad.ExpectationCost(pauli.parse_pauli_sum("Z", 1))
+    cost = circuit.ExpectationCost(pauli.parse_pauli_sum("Z", 1))
     trace = natgrad.optimize("gd", c, [0.3, 0.4], circuit.basis_state("0"), cost,
                              lr=0.1, max_iter=5, tol=0.0,
                              monitor=lambda th: {"probe": float(th[0])})
@@ -201,12 +217,12 @@ def test_squared_sum_cost_gradient_matches_fd(rng):
     prob = cli.entangling_problem(seed=2)
     psi0 = prob.initial_state()
     theta = rng.uniform(0, 2 * np.pi, 3)
-    grad = natgrad.cost_gradient(prob.cost, prob.circuit, theta, psi0)
+    grad = circuit.cost_gradient(prob.circuit, theta, psi0, prob.cost)
     h = 1e-5
     for j in range(3):
         step = np.eye(3)[j] * h
-        fd = (natgrad.cost_value(prob.cost, prob.circuit, theta + step, psi0) -
-              natgrad.cost_value(prob.cost, prob.circuit, theta - step, psi0)) / (2 * h)
+        fd = (circuit.cost(prob.circuit, theta + step, psi0, prob.cost) -
+              circuit.cost(prob.circuit, theta - step, psi0, prob.cost)) / (2 * h)
         assert grad[j] == pytest.approx(fd, abs=1e-6)
 
 
@@ -214,8 +230,8 @@ def test_projected_report_squared_sum_consistency(rng):
     prob = cli.entangling_problem(seed=4)
     psi0 = prob.initial_state()
     theta = rng.uniform(0, 2 * np.pi, 3)
-    rep = natgrad.projected_cost_report("covariant", prob.symmetry, prob.circuit,
+    rep = symgrad.projected_cost_report("covariant", prob.symmetry, prob.circuit,
                                         theta, psi0, prob.cost)
     assert np.max(np.abs(rep.partial - (rep.projected + rep.m @ rep.vector_potential))) < 1e-10
     assert np.max(np.abs(rep.partial -
-                         natgrad.cost_gradient(prob.cost, prob.circuit, theta, psi0))) < 1e-10
+                         circuit.cost_gradient(prob.circuit, theta, psi0, prob.cost))) < 1e-10

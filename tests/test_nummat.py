@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symflow import nummat, pauli
-from conftest import random_skew
+from conftest import random_skew, sqrt_pinv_psd
 
 
 X = pauli.word_matrix("X")
@@ -90,8 +90,15 @@ def test_pinv_psd_rejects_asymmetric():
 def test_sqrt_pinv_squares_to_pinv(rng):
     b = rng.standard_normal((4, 4))
     g = b @ b.T
-    r = nummat.sqrt_pinv_psd(g)
+    r = sqrt_pinv_psd(g)
     assert np.allclose(r @ r, nummat.pinv_psd(g), atol=1e-10)
+    # Loewdin's route: the rows of (G^+)^{1/2} V span what sym_orthonormalize keeps
+    vecs = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 6))
+    gram = vecs @ vecs.T
+    lowdin = sqrt_pinv_psd(gram) @ vecs
+    out = nummat.sym_orthonormalize(vecs, gram)
+    assert out.shape == (3, 6)
+    assert np.allclose(lowdin.T @ lowdin, out.T @ out, atol=1e-10)
 
 
 def test_nullspace_zero_and_identity():

@@ -8,6 +8,7 @@ from conftest import (
     random_circuit,
     random_skew,
     random_state,
+    real_overlap,
     same_tangent_span,
     single_qubit_example,
     su2_tensor_subspace,
@@ -32,17 +33,17 @@ def singlet():
 
 def test_real_overlap_basics():
     zero = circuit.basis_state("0")
-    assert tangent.real_overlap(zero, 1j * zero) == pytest.approx(0.0, abs=1e-14)
-    assert tangent.real_overlap(1j * PLUS, 1j * PLUS) == pytest.approx(1.0, abs=1e-14)
+    assert real_overlap(zero, 1j * zero) == pytest.approx(0.0, abs=1e-14)
+    assert real_overlap(1j * PLUS, 1j * PLUS) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
-        tangent.real_overlap(zero, circuit.basis_state("00"))
+        real_overlap(zero, circuit.basis_state("00"))
 
 
 def test_real_overlap_anticommutator_identity(rng):
     psi = random_state(2, rng)
     for _ in range(10):
         x, y = random_skew(4, rng), random_skew(4, rng)
-        direct = tangent.real_overlap(x @ psi, y @ psi)
+        direct = real_overlap(x @ psi, y @ psi)
         anti = x @ y + y @ x
         assert direct == pytest.approx(-0.5 * np.vdot(psi, anti @ psi).real, abs=1e-12)
 
@@ -123,7 +124,7 @@ def test_equivariant_frame_global_phase(rng):
     # unitary tangent space, rank 2d - 1 = 3
     assert fr.rank == 3
     psi = circuit.apply(c, theta, PLUS)
-    assert any(abs(tangent.real_overlap(v, 1j * psi)) > 1e-8 for v in fr.onb)
+    assert any(abs(real_overlap(v, 1j * psi)) > 1e-8 for v in fr.onb)
 
 
 def test_theta_action_gram_is_theta_independent(rng):
@@ -177,7 +178,7 @@ def test_state_four_lists_orthonormal(rng):
     for a in range(len(flat)):
         for b in range(len(flat)):
             want = 1.0 if a == b else 0.0
-            assert tangent.real_overlap(flat[a], flat[b]) == pytest.approx(want, abs=1e-10)
+            assert real_overlap(flat[a], flat[b]) == pytest.approx(want, abs=1e-10)
 
 
 def test_induced_split_u1_at_zero():
