@@ -6,11 +6,14 @@ Subcommands:
   optimize   gd / qng / cqng run with a CSV trajectory and a summary line
 
 Problems are JSON files (see README); the literal spec path ``entangling``
-loads the built-in two-qubit maximal-entangling demo.  Exit codes:
-0 success, 2 malformed problem or bad ``SYMFLOW_TOL``, 3 algebra contract
-error or failed algebra computation, 4 optimizer did not converge.  The
-``SYMFLOW_TOL`` environment variable overrides the global rank tolerance;
-it must be a finite number in (0, 1).
+loads the built-in two-qubit maximal-entangling demo.  The loader checks
+the JSON type of every block and field it reads.  Exit codes: 0 success,
+2 malformed problem or bad ``SYMFLOW_TOL``, 3 algebra contract error or
+failed algebra computation, 4 optimizer did not converge.  The
+``SYMFLOW_TOL`` environment variable sets the relative rank tolerance of
+every rank decision, the orthonormalization of the symmetry generators
+included; it must be a finite number in (0, 1) and is checked before any
+work.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, liealg, natgrad, pauli, symgrad
-from .nummat import ContractViolation, rank_tol, trace_inner
+from .nummat import ContractViolation, GramSchmidt, rank_tol
 from .tangent import SymmetrySpec
 
 
@@ -61,6 +64,8 @@ def resolve_initial_state(spec, n_qubits: int, seed_override: int | None = None)
         if len(spec) != n_qubits:
             raise SpecError(f"basis label {spec!r} has wrong length for {n_qubits} qubits")
         return circuit.basis_state(spec)
+    if not isinstance(spec, (list, tuple)):
+        raise SpecError(f"bad initial_state {spec!r}: expected a basis label or an amplitude list")
     amps = []
     for entry in spec:
         pair = isinstance(entry, (list, tuple))
@@ -82,22 +87,16 @@ def resolve_initial_state(spec, n_qubits: int, seed_override: int | None = None)
 
 
 def symmetry_from_strings(strings, action: str, n_qubits: int) -> SymmetrySpec:
+    """Symmetry spanned by the generator strings, orthonormalized in order."""
+    d = 2**n_qubits
     mats = []
     for text in strings:
         p = pauli.parse_pauli_sum(text, n_qubits)
         if not p.is_skew_hermitian():
             raise SpecError(f"symmetry generator {text!r} is not skew-Hermitian")
         mats.append(pauli.to_matrix(p))
-    basis = []
-    for m in mats:
-        r = m.copy()
-        for b in basis:
-            r -= trace_inner(b, r) * b
-        norm = np.sqrt(abs(trace_inner(r, r)))
-        if norm > 1e-10:
-            basis.append(r / norm)
-    sub = liealg.subspace(2**n_qubits, basis)
-    return SymmetrySpec(sub, action)
+    rows = GramSchmidt(d * d).extend(liealg.coords(np.reshape(mats, (-1, d, d)), d))
+    return SymmetrySpec(liealg.Subspace(d, rows), action)
 
 
 def _finite(value, name: str) -> float:
@@ -113,6 +112,8 @@ def _finite(value, name: str) -> float:
 def _parse_gate(entry: dict) -> circuit.Gate:
     try:
         wires = tuple(int(w) for w in entry["wires"])
+        if not isinstance(entry["h"], str):
+            raise SpecError(f"h must be a Pauli-sum string, got {entry['h']!r}")
         gen = pauli.parse_pauli_sum(entry["h"], len(wires))
         param, angle = entry.get("param"), entry.get("angle")
         if param is not None and not _is_int(param):
@@ -142,6 +143,8 @@ def load_problem(path: str) -> Problem:
 def problem_from_dict(data: dict) -> Problem:
     try:
         cdata = data["circuit"]
+        if not isinstance(cdata, dict):
+            raise SpecError(f"bad circuit block {cdata!r}: expected an object")
         gates = tuple(_parse_gate(g) for g in cdata.get("gates", []))
         c = circuit.CircuitSpec(int(cdata["n_qubits"]), gates, int(cdata["n_params"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -158,6 +161,8 @@ def problem_from_dict(data: dict) -> Problem:
             action = block.get("action", "left")
         except (KeyError, TypeError) as exc:
             raise SpecError(f"bad symmetry block: {exc}") from exc
+        if not isinstance(strings, list) or not all(isinstance(t, str) for t in strings):
+            raise SpecError(f"bad symmetry block: generators {strings!r} are not strings")
         sym = symmetry_from_strings(strings, action, n)
 
     cost = None

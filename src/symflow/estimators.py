@@ -126,19 +126,20 @@ def hadamard_omega(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str
     i * sum_l chi_l <phi_l| B |phi_l>."""
     circuits = build_ancilla_circuit(c, theta, j, z_b, action, decompose_generator)
     start = np.kron(PLUS, np.asarray(psi0, dtype=complex))
+    # every circuit of one call measures the same X (x) B
+    obs = pauli.to_matrix(circuits[0].observable) if circuits else None
     total = 0.0 + 0.0j
     for anc in circuits:
         phi = circuit.apply(anc.base, [], start)
-        val = np.vdot(phi, pauli.to_matrix(anc.observable) @ phi)
-        total += anc.chi * val
+        total += anc.chi * np.vdot(phi, obs @ phi)
     total *= 1j
     return float(total.real)
 
 
 def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
-                action: str, h: float = 1e-5) -> float:
-    """Symmetry derivative m_a as a central finite difference of the cost
-    with exp(z_a t) inserted at the action point."""
+                action: str) -> float:
+    """Symmetry derivative m_a as a central finite difference, step 1e-5,
+    of the cost with exp(z_a t) inserted at the action point."""
     if action not in ("left", "theta"):
         raise ValueError(f"action must be 'left' or 'theta', got {action!r}")
     z_a = require_skew_hermitian(z_a, name="symmetry generator")
@@ -152,4 +153,4 @@ def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
             psi = expm_skew(z_a, t) @ circuit.apply(c, theta, psi0)
         return float(np.real(np.vdot(psi, m_mat @ psi)))
 
-    return (value(h) - value(-h)) / (2.0 * h)
+    return (value(1e-5) - value(-1e-5)) / 2e-5

@@ -24,9 +24,9 @@ from . import pauli
 from .nummat import (
     HERM_TOL,
     ContractViolation,
+    GramSchmidt,
+    complement_rows,
     nullspace_real,
-    orthonormal_rows,
-    rank_tol,
     require_skew_hermitian,
     trace_inner,  # noqa: F401  (part of this module's public surface)
 )
@@ -62,12 +62,12 @@ class Subspace:
         mats.setflags(write=False)
         return mats
 
-    def contains(self, x, tol: float = 1e-10) -> bool:
+    def contains(self, x) -> bool:
         norm = np.linalg.norm(x) / np.sqrt(self.dim_ambient)
-        return residual_norm(x, self) <= tol * max(1.0, norm)
+        return residual_norm(x, self) <= SUBALGEBRA_TOL * max(1.0, norm)
 
 
-def subspace(d: int, mats, validate: bool = True) -> Subspace:
+def subspace(d: int, mats) -> Subspace:
     """Build a Subspace from matrices, checking skewness and orthonormality.
 
     The matrices themselves, not their round trip through coordinates,
@@ -78,7 +78,7 @@ def subspace(d: int, mats, validate: bool = True) -> Subspace:
     if basis.ndim != 3 or basis.shape[1:] != (d, d):
         raise ValueError(f"basis elements of shape {basis.shape[1:]} in u({d})")
     rows = coords(basis, d)
-    if validate and len(basis):
+    if len(basis):
         defects = np.max(np.abs(basis + basis.conj().transpose(0, 2, 1)), axis=(1, 2))
         if np.max(defects) > HERM_TOL:
             raise ContractViolation(
@@ -155,10 +155,9 @@ def residual_norm(x, sub: Subspace) -> float:
 def lie_closure(generators) -> Subspace:
     """Smallest bracket-closed real span containing the generators.
 
-    Iterates pairwise commutators against the current basis until the
-    numerical rank stabilizes; capped at 10*d*d rounds.  Each candidate is
-    orthogonalized against all basis rows at once (classical Gram-Schmidt,
-    applied twice).
+    Brackets the basis with the elements the last round added until a
+    round adds none, which happens within d*d rounds.  Every candidate goes
+    through one order-preserving Gram-Schmidt in coordinates.
     """
     gens = [require_skew_hermitian(np.asarray(g, dtype=complex)) for g in generators]
     if not gens:
@@ -167,42 +166,13 @@ def lie_closure(generators) -> Subspace:
     for g in gens:
         if g.shape != (d, d):
             raise ValueError("generators live in different dimensions")
-    tol = rank_tol()
-    rows = np.zeros((0, d * d))
-    mats: list[np.ndarray] = []
-
-    def try_append(mat: np.ndarray) -> bool:
-        nonlocal rows
-        vec = coords(mat, d)
-        norm = np.linalg.norm(vec)
-        if norm <= 1e-13:
-            return False
-        for _ in range(2):
-            vec = vec - (rows @ vec) @ rows
-        res = np.linalg.norm(vec)
-        if res <= tol * norm or res <= 1e-12:
-            return False
-        row = _fix_signs(vec[None, :] / res)
-        rows = np.vstack([rows, row])
-        mats.append(from_coords(row[0], d))
-        return True
-
-    for g in gens:
-        try_append(g)
-
-    frontier = list(mats)
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > 10 * d * d:
-            raise AlgebraFailure("Lie closure did not stabilize within the round cap")
-        fresh: list[np.ndarray] = []
-        for a in list(mats):
-            for b in frontier:
-                if try_append(a @ b - b @ a):
-                    fresh.append(mats[-1])
-        frontier = fresh
-    return Subspace(d, rows)
+    basis = GramSchmidt(d * d)
+    mats = frontier = from_coords(basis.extend(coords(np.stack(gens), d)), d)
+    while len(frontier):
+        fresh = [basis.extend(coords(a @ frontier - frontier @ a, d)) for a in mats]
+        frontier = from_coords(np.concatenate(fresh), d)
+        mats = np.concatenate([mats, frontier])
+    return subspace_from_rows(basis.rows, d)
 
 
 def _ad_matrix(ys: np.ndarray, d: int) -> np.ndarray:
@@ -220,19 +190,19 @@ def _ad_matrix(ys: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate(cols, axis=1).transpose(0, 2, 1).reshape(-1, d * d)
 
 
-def commutant(sub: Subspace, d: int | None = None) -> Subspace:
+def commutant(sub: Subspace) -> Subspace:
     """All of u(d) commuting with every basis element of the subspace."""
-    d = sub.dim_ambient if d is None else d
+    d = sub.dim_ambient
     if sub.dim == 0:
         return full_space(d)
     return subspace_from_rows(nullspace_real(_ad_matrix(sub.basis, d)), d)
 
 
-def _brackets(sub: Subspace, tol: float = SUBALGEBRA_TOL):
+def _brackets(sub: Subspace):
     """Per chunk of the basis brackets [b_a, b_c], a few a at a time against
     the stacked basis (about BRACKET_CHUNK complex entries, so the full
     dim**2 x d**2 array never exists): whether they stay in the span, to
-    ``tol`` relative to their size, and their span components
+    ``SUBALGEBRA_TOL`` relative to their size, and their span components
     f[a, c, b] = <b_b, [b_a, b_c]>, shape (k, dim, dim)."""
     d, mats = sub.dim_ambient, sub.basis
     step = max(1, BRACKET_CHUNK // max(1, sub.dim * d * d))
@@ -241,12 +211,12 @@ def _brackets(sub: Subspace, tol: float = SUBALGEBRA_TOL):
         comm = coords(y @ mats - mats @ y, d)
         f = comm @ sub.rows.T
         scale = np.maximum(1.0, np.linalg.norm(comm, axis=-1))
-        yield not np.any(np.linalg.norm(comm - f @ sub.rows, axis=-1) > tol * scale), f
+        yield not np.any(np.linalg.norm(comm - f @ sub.rows, axis=-1) > SUBALGEBRA_TOL * scale), f
 
 
-def is_subalgebra(sub: Subspace, tol: float = SUBALGEBRA_TOL) -> bool:
+def is_subalgebra(sub: Subspace) -> bool:
     """Whether every pairwise bracket of basis elements stays in the span."""
-    return all(closed for closed, _ in _brackets(sub, tol))
+    return all(closed for closed, _ in _brackets(sub))
 
 
 def _closure_and_center(sub: Subspace) -> tuple[bool, Subspace]:
@@ -273,8 +243,7 @@ def center(sub: Subspace) -> Subspace:
 
 def complement_within(sub: Subspace, inner: Subspace) -> Subspace:
     """Orthogonal complement of ``inner`` inside ``sub``."""
-    rows = sub.rows - (sub.rows @ inner.rows.T) @ inner.rows
-    return subspace_from_rows(orthonormal_rows(rows), sub.dim_ambient)
+    return subspace_from_rows(complement_rows(sub.rows, inner.rows), sub.dim_ambient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,14 +260,14 @@ class FourDecomposition:
         return (self.r.dim, self.ut_centerless.dim, self.center_t.dim, self.t_centerless.dim)
 
 
-def four_decomposition(t: Subspace, d: int | None = None) -> FourDecomposition:
+def four_decomposition(t: Subspace) -> FourDecomposition:
     """Split u(d) into the remainder, the centerless commutant, the center
     of the symmetry algebra, and the centerless symmetry algebra."""
-    d = t.dim_ambient if d is None else d
+    d = t.dim_ambient
     closed, z = _closure_and_center(t)
     if not closed:
         raise ContractViolation("symmetry subspace is not closed under the bracket")
-    u_t = commutant(t, d)
+    u_t = commutant(t)
     ut_centerless = complement_within(u_t, z)
     t_centerless = complement_within(t, z)
     r = subspace_from_rows(nullspace_real(np.vstack([u_t.rows, t.rows])), d)

@@ -1,10 +1,13 @@
 """Dense numerical kernel: skew-Hermitian matrix tools, PSD pseudo-inverses,
-nullspaces, and Gram-based symmetric orthonormalization.
+nullspaces, row spaces and complements, and Gram-Schmidt and Gram-based
+orthonormalization.
 
-All routines are pure functions on numpy arrays.  Rank decisions use a
-relative threshold (``SYMFLOW_TOL`` environment variable, default 1e-10
-times the largest eigenvalue or singular value) above an absolute noise
-floor, ``ZERO_MATRIX_FLOOR`` (squared for Gram eigenvalues).
+Every numerical-rank decision of the library is made here, by one rule
+(``_kept``): a singular value, Gram eigenvalue or Gram-Schmidt residual
+counts when it exceeds ``rank_tol()`` (``SYMFLOW_TOL``, default 1e-10)
+times its scale and the noise floor ``ZERO_MATRIX_FLOOR`` (squared for
+Gram eigenvalues).  The scale is the largest singular value or eigenvalue,
+or the norm of the vector before orthogonalization.
 """
 from __future__ import annotations
 
@@ -36,8 +39,9 @@ def rank_tol() -> float:
     return tol
 
 
-def _resolve_tol(rel_tol: float | None) -> float:
-    return rank_tol() if rel_tol is None else float(rel_tol)
+def _kept(values, scale: float, tol: float, floor: float = ZERO_MATRIX_FLOOR):
+    """The rank rule: which values exceed ``tol * scale`` and the floor."""
+    return values > max(tol * scale, floor)
 
 
 def _as_square(x, name: str = "matrix") -> np.ndarray:
@@ -47,20 +51,10 @@ def _as_square(x, name: str = "matrix") -> np.ndarray:
     return x
 
 
-def is_hermitian(x, tol: float = HERM_TOL) -> bool:
-    x = _as_square(x)
-    return bool(np.max(np.abs(x - x.conj().T)) <= tol)
-
-
-def is_skew_hermitian(x, tol: float = HERM_TOL) -> bool:
-    x = _as_square(x)
-    return bool(np.max(np.abs(x + x.conj().T)) <= tol)
-
-
-def require_skew_hermitian(x, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+def require_skew_hermitian(x, name: str = "matrix") -> np.ndarray:
     x = _as_square(x, name)
     defect = float(np.max(np.abs(x + x.conj().T)))
-    if defect > tol:
+    if defect > HERM_TOL:
         raise ContractViolation(f"{name} is not skew-Hermitian (defect {defect:.3e})")
     return x
 
@@ -86,8 +80,9 @@ def expm_skew(x, scale: float = 1.0) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def _psd_eig(g, rel_tol: float | None):
-    g = np.asarray(g, dtype=float) if np.isrealobj(g) else np.asarray(g)
+def _psd_eig(g):
+    """Eigenpairs of a symmetric PSD matrix and the mask of those kept."""
+    g = np.asarray(g)
     if np.iscomplexobj(g):
         if np.max(np.abs(g.imag)) > 1e-10:
             raise ContractViolation("Gram matrix has a complex part")
@@ -99,43 +94,69 @@ def _psd_eig(g, rel_tol: float | None):
         raise ContractViolation("Gram matrix is not symmetric")
     evals, vecs = np.linalg.eigh((g + g.T) / 2.0) if g.size else (np.zeros(0), np.zeros((0, 0)))
     # an eigenvalue below the floor squared is a direction of norm below the floor: noise
-    cut = max(_resolve_tol(rel_tol) * (np.max(evals) if evals.size else 0.0),
-              ZERO_MATRIX_FLOOR**2)
-    return evals, vecs, cut
+    keep = _kept(evals, np.max(evals, initial=0.0), rank_tol(), ZERO_MATRIX_FLOOR**2)
+    return evals, vecs, keep
 
 
-def pinv_psd(g, rel_tol: float | None = None) -> np.ndarray:
+def pinv_psd(g) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a symmetric PSD matrix."""
-    evals, vecs, cut = _psd_eig(g, rel_tol)
-    inv = np.where(evals > cut, 1.0 / np.where(evals > cut, evals, 1.0), 0.0)
+    evals, vecs, keep = _psd_eig(g)
+    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
     return (vecs * inv) @ vecs.T
 
 
-def nullspace_real(m, rel_tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the right nullspace of a real matrix, as rows."""
+def _svd_rows(m, null: bool) -> tuple[int, np.ndarray]:
+    """Numerical rank and right singular vectors of a real matrix: all of V
+    for a nullspace, the thin V otherwise; rank 0 and V = I below the floor."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    n = m.shape[1]
     if m.shape[0] == 0 or not np.any(np.abs(m) > ZERO_MATRIX_FLOOR):
-        return np.eye(n)
+        return 0, np.eye(m.shape[1])
     # a tall matrix's thin SVD already returns the full V
-    _, svals, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    cut = max(_resolve_tol(rel_tol) * svals[0], ZERO_MATRIX_FLOOR)
-    rank = int(np.sum(svals > cut))
+    _, svals, vh = np.linalg.svd(m, full_matrices=null and m.shape[0] < m.shape[1])
+    return int(np.sum(_kept(svals, svals[0], rank_tol()))), vh
+
+
+def nullspace_real(m) -> np.ndarray:
+    """Orthonormal basis of the right nullspace of a real matrix, as rows."""
+    rank, vh = _svd_rows(m, null=True)
     return vh[rank:]
 
 
-def orthonormal_rows(m, rel_tol: float | None = None) -> np.ndarray:
+def orthonormal_rows(m) -> np.ndarray:
     """Orthonormal basis of the row space of a real matrix, as rows."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] == 0 or not np.any(np.abs(m) > ZERO_MATRIX_FLOOR):
-        return np.zeros((0, m.shape[1]))
-    _, svals, vh = np.linalg.svd(m, full_matrices=False)  # the rank is at most min(m.shape)
-    cut = max(_resolve_tol(rel_tol) * svals[0], ZERO_MATRIX_FLOOR)
-    rank = int(np.sum(svals > cut))
+    rank, vh = _svd_rows(m, null=False)
     return vh[:rank]
 
 
-def sym_orthonormalize(vectors, gram, rel_tol: float | None = None) -> np.ndarray:
+def complement_rows(rows: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the part of span(rows) orthogonal to the
+    orthonormal rows ``inner``."""
+    return orthonormal_rows(rows - (rows @ inner.T) @ inner)
+
+
+class GramSchmidt:
+    """Orthonormal rows grown in the order vectors are offered: classical
+    Gram-Schmidt against all rows, applied twice, keeping a residual that
+    passes the rank rule.  The tolerance is read once, at creation."""
+
+    def __init__(self, width: int):
+        self.rows = np.zeros((0, width))
+        self._tol = rank_tol()
+
+    def extend(self, vecs) -> np.ndarray:
+        """Offer a (k, width) stack in order; returns the rows it added."""
+        start = len(self.rows)
+        for vec in np.asarray(vecs, dtype=float):
+            norm = np.linalg.norm(vec)
+            for _ in range(2):
+                vec = vec - (self.rows @ vec) @ self.rows
+            res = np.linalg.norm(vec)
+            if _kept(res, norm, self._tol):
+                self.rows = np.vstack([self.rows, vec / res])
+        return self.rows[start:]
+
+
+def sym_orthonormalize(vectors, gram) -> np.ndarray:
     """Orthonormalize a redundant family via the square-rooted pseudo-inverse
     of its Gram matrix.
 
@@ -145,13 +166,13 @@ def sym_orthonormalize(vectors, gram, rel_tol: float | None = None) -> np.ndarra
     null directions are dropped, so the row count equals the numerical rank
     of ``gram``.  All rows come from one matrix product.
     """
-    evals, vecs, cut = _psd_eig(gram, rel_tol)
+    evals, vecs, keep = _psd_eig(gram)
     if len(vectors) != evals.size:
         raise ValueError(
             f"Gram matrix of size {evals.size} does not match {len(vectors)} vectors"
         )
     if not len(vectors):
         return np.zeros((0, 0))
-    keep = np.flatnonzero(evals > cut)[::-1]  # descending eigenvalue order
+    keep = np.flatnonzero(keep)[::-1]  # descending eigenvalue order
     stack = np.stack([np.asarray(v) for v in vectors])
     return np.tensordot((vecs[:, keep] / np.sqrt(evals[keep])).T, stack, axes=1)

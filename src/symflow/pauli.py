@@ -40,11 +40,11 @@ class PauliSum:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def is_hermitian(self, tol: float = COEFF_PRUNE_TOL) -> bool:
-        return all(abs(c.imag) <= tol for _, c in self.terms)
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= COEFF_PRUNE_TOL for _, c in self.terms)
 
-    def is_skew_hermitian(self, tol: float = COEFF_PRUNE_TOL) -> bool:
-        return all(abs(c.real) <= tol for _, c in self.terms)
+    def is_skew_hermitian(self) -> bool:
+        return all(abs(c.real) <= COEFF_PRUNE_TOL for _, c in self.terms)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if other.n_qubits != self.n_qubits:

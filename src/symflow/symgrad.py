@@ -94,11 +94,10 @@ def _omega(ev: circuit.Evaluation) -> np.ndarray:
 
 
 def symmetry_derivative(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
-                        m: pauli.PauliSum, basis_kind: str = "vertical") -> np.ndarray:
+                        m: pauli.PauliSum) -> np.ndarray:
     """Cost response to infinitesimal symmetry insertions:
     m_a = 2 Re <psi| M |Z_a> with Z_a the raw symmetry tangents."""
-    kind = "covariant" if basis_kind == "vertical" else basis_kind
-    return projected_cost_report(kind, sym, c, theta, psi0, m).m
+    return projected_cost_report("covariant", sym, c, theta, psi0, m).m
 
 
 def overlap_omega(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,

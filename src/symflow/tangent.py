@@ -18,9 +18,7 @@ import numpy as np
 
 from . import circuit, liealg
 from .circuit import TangentFrame
-from .nummat import ContractViolation, nullspace_real, orthonormal_rows
-
-INTERSECT_EIG_TOL = 1e-8
+from .nummat import ContractViolation, complement_rows, nullspace_real, orthonormal_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +44,7 @@ class SymmetrySpec:
 class StateFourDecomposition:
     """Mutually orthogonal tangent lists: purely covariant, covariant and
     equivariant, purely equivariant (vertical), and the remaining vertical
-    directions."""
+    directions; ``residual_dim`` counts the tangent directions in none."""
 
     cov: tuple[np.ndarray, ...]
     both: tuple[np.ndarray, ...]
@@ -104,50 +102,35 @@ def _rows_from_tangents(vectors: np.ndarray) -> np.ndarray:
     return orthonormal_rows(_embed_columns(vectors).T)
 
 
-def _complement_rows(rows: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Orthonormal rows of span(rows) minus the orthonormal rows ``inner``."""
-    return orthonormal_rows(rows - (rows @ inner.T) @ inner)
-
-
-def _intersect(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
-    """Orthonormal rows of range(p_a) intersected with range(p_b)."""
-    m = p_a @ p_b @ p_a
-    evals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    keep = evals >= 1.0 - INTERSECT_EIG_TOL
-    return vecs[:, keep].T
+def _orthogonal_part(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Orthonormal rows of span(rows) intersected with the orthocomplement
+    of span(other), both given by orthonormal rows."""
+    return nullspace_real(other @ rows.T) @ rows
 
 
 def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                              psi0) -> StateFourDecomposition:
-    """Orthogonal four-way split of the unitary tangent space at the state."""
+    """Orthogonal four-way split of the unitary tangent space at the state.
+
+    Each part is a nullspace of a small row product of spans taken from the
+    raw tangents by SVD (a frame's Gram eigenvalue cut resolves directions
+    only to about the square root of the rank tolerance)."""
     vertical = evaluate(sym, c, theta, psi0)
     t_rows = state_tangent_rows(vertical.psi)
-    v_rows = _rows_from_tangents(vertical.frame.onb)
-    e_rows = _rows_from_tangents(equivariant_frame(sym, c, theta, psi0).onb)
-    h_rows = _complement_rows(t_rows, v_rows)
+    v_rows = _rows_from_tangents(vertical.frame.raw)
+    e_rows = _rows_from_tangents(equivariant_frame(sym, c, theta, psi0).raw)
+    h_rows = complement_rows(t_rows, v_rows)
 
-    # orthogonal projectors onto the embedded spans
-    p_v, p_e, p_h = (rows.T @ rows for rows in (v_rows, e_rows, h_rows))
-    eye = np.eye(len(p_v))
+    # the equivariant tangents lie in the tangent space, split as v + h
+    equi_rows = _orthogonal_part(e_rows, h_rows)
+    both_rows = _orthogonal_part(e_rows, v_rows)
+    cov_rows = _orthogonal_part(h_rows, e_rows)
+    vert_rows = _orthogonal_part(v_rows, equi_rows)
 
-    equi_rows = _intersect(p_e, p_v)
-    both_rows = _intersect(p_e, p_h)
-    cov_rows = _intersect(p_h, eye - p_e)
-    vert_rows = _intersect(p_v, eye - equi_rows.T @ equi_rows)
-
-    total = sum(r.shape[0] for r in (cov_rows, both_rows, equi_rows, vert_rows))
-    residual = t_rows.shape[0] - total
-
-    def tangents(rows):
-        return tuple(unembed(r) for r in rows)
-
-    return StateFourDecomposition(
-        cov=tangents(cov_rows),
-        both=tangents(both_rows),
-        equi=tangents(equi_rows),
-        vert=tangents(vert_rows),
-        residual_dim=int(residual),
-    )
+    parts = [tuple(unembed(r) for r in rows)
+             for rows in (cov_rows, both_rows, equi_rows, vert_rows)]
+    residual = t_rows.shape[0] - sum(map(len, parts))
+    return StateFourDecomposition(*parts, residual_dim=residual)
 
 
 def _embed_columns(states: np.ndarray) -> np.ndarray:
@@ -177,11 +160,12 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     orthogonal complement under the trace inner product.  Zero-tangent
     directions outside the symmetry algebra therefore count as vertical
     when they are shadowed by a genuine symmetry tangent, while trivially
-    acting symmetry generators never do.
+    acting symmetry generators never do.  The vertical span comes from the
+    raw tangents, as in :func:`state_four_decomposition`.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     d = c.dim
-    v_rows = _rows_from_tangents(vertical_frame(sym, c, theta, psi0).onb)
+    v_rows = _rows_from_tangents(vertical_frame(sym, c, theta, psi0).raw)
     p_v = v_rows.T @ v_rows
     action = _action_matrix(sym, c, theta, psi0)
 

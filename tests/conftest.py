@@ -136,6 +136,42 @@ def omega_anticommutator(sym, c, theta, psi0, basis_kind: str = "vertical") -> n
     return out
 
 
+def _intersect_by_projectors(p_a, p_b) -> tuple[np.ndarray, bool]:
+    """Orthonormal rows of range(p_a) intersected with range(p_b): the
+    eigenvectors of p_a p_b p_a at eigenvalue 1 (to 1e-8, so principal
+    angles up to about 1e-4 count as zero).  Also whether some principal
+    angle has its sine, a singular value of p_a (1 - p_b), between 1e-12
+    and 1e-2: there this route and a rank cut of 1e-10 can disagree."""
+    m = p_a @ p_b @ p_a
+    evals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    sines = np.linalg.svd(p_a - p_a @ p_b, compute_uv=False)
+    return vecs[:, evals >= 1.0 - 1e-8].T, bool(np.any((sines > 1e-12) & (sines < 1e-2)))
+
+
+def state_four_split_oracle(sym, c, theta, psi0) -> tuple[tuple[np.ndarray, ...], bool]:
+    """Embedded orthonormal rows of the (cov, both, equi, vert) parts of
+    ``tangent.state_four_decomposition``, intersected through projectors,
+    and whether any of the four intersections is near its cut."""
+    from symflow.nummat import orthonormal_rows
+
+    vertical = tangent.evaluate(sym, c, theta, psi0)
+    equivariant = tangent.evaluate(sym, c, theta, psi0, "equivariant")
+
+    def rows(onb):  # a (k, d) stack of tangents, embedded row by row in R^{2d}
+        return orthonormal_rows(np.concatenate([onb.real, onb.imag], axis=1))
+
+    t_rows = tangent.state_tangent_rows(vertical.psi)
+    v_rows, e_rows = rows(vertical.frame.onb), rows(equivariant.frame.onb)
+    h_rows = orthonormal_rows(t_rows - (t_rows @ v_rows.T) @ v_rows)
+    p_v, p_e, p_h = (r.T @ r for r in (v_rows, e_rows, h_rows))
+    eye = np.eye(len(p_v))
+    equi, near_equi = _intersect_by_projectors(p_e, p_v)
+    both, near_both = _intersect_by_projectors(p_e, p_h)
+    cov, near_cov = _intersect_by_projectors(p_h, eye - p_e)
+    vert, near_vert = _intersect_by_projectors(p_v, eye - equi.T @ equi)
+    return (cov, both, equi, vert), near_equi or near_both or near_cov or near_vert
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -235,6 +235,22 @@ def test_symmetry_from_strings_orthonormalizes():
             assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_symmetry_basis_rank_follows_symflow_tol(tmp_path, capsys, monkeypatch):
+    # the second generator adds a direction of relative size 1e-11: below
+    # the default cut of 1e-10, above a cut of 1e-12
+    spec = write_spec(tmp_path, {
+        "circuit": {"n_qubits": 2, "n_params": 0, "gates": []},
+        "initial_state": "00",
+        "symmetry": {"generators": ["i*ZI", "i*ZI + 1e-11i*IZ"], "action": "left"},
+    })
+    monkeypatch.delenv("SYMFLOW_TOL", raising=False)
+    assert cli.main(["decompose", spec]) == 0
+    assert "center=1 symmetry_centerless=0" in capsys.readouterr().out
+    monkeypatch.setenv("SYMFLOW_TOL", "1e-12")
+    assert cli.main(["decompose", spec]) == 0
+    assert "center=2 symmetry_centerless=0" in capsys.readouterr().out
+
+
 def test_symmetry_rejects_non_skew(tmp_path):
     with pytest.raises(cli.SpecError):
         cli.symmetry_from_strings(["Z"], "left", 1)
@@ -290,6 +306,11 @@ MALFORMED = {
     "observable-non-hermitian": ("observable", lambda d: d.update(observable="i*Z")),
     "observable-no-terms": ("observable", lambda d: d.update(
         observable={"kind": "squared_sum", "terms": []})),
+    "state-int": ("initial_state", lambda d: d.update(initial_state=5)),
+    "generators-int": ("symmetry", lambda d: d.update(symmetry={"generators": 5})),
+    "generators-int-list": ("symmetry", lambda d: d.update(symmetry={"generators": [5]})),
+    "circuit-list": ("circuit", lambda d: d.update(circuit=[])),
+    "h-int": ("h must be", lambda d: d["circuit"]["gates"][0].update(h=5)),
 }
 
 

@@ -181,6 +181,18 @@ def test_rank_tol_rejects_bad_env(monkeypatch, value):
         nummat.rank_tol()
 
 
+def test_gram_schmidt_keeps_order_and_cuts_relative_to_each_norm(monkeypatch):
+    e = np.eye(3)
+    vecs = [2.0 * e[0], 3.0 * e[0] + 3e-11 * e[1], 1e-13 * e[2], e[1] + e[2]]
+    monkeypatch.delenv("SYMFLOW_TOL", raising=False)
+    basis = nummat.GramSchmidt(3)
+    assert np.array_equal(basis.extend(vecs[:2]), e[:1])  # 1e-11 of its norm: dependent
+    assert np.allclose(basis.extend(vecs[2:]), [(e[1] + e[2]) / np.sqrt(2)], atol=1e-15)
+    monkeypatch.setenv("SYMFLOW_TOL", "1e-12")
+    rows = nummat.GramSchmidt(3).extend(vecs)  # the residual 1e-13 stays below the floor
+    assert np.allclose(rows, e[[0, 1, 2]], atol=1e-15)
+
+
 def test_psd_rank_cut_has_absolute_floor():
     """A Gram matrix of roundoff-size tangents (entries ~1e-33) has rank 0,
     not the rank its relative spectrum would suggest."""

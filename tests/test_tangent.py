@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from symflow import circuit, liealg, pauli, tangent
+from symflow import circuit, cli, liealg, pauli, tangent
 from symflow.nummat import ContractViolation, expm_skew, nullspace_real, orthonormal_rows, trace_inner
 from conftest import (
     pauli_subspace,
@@ -11,6 +12,7 @@ from conftest import (
     real_overlap,
     same_tangent_span,
     single_qubit_example,
+    state_four_split_oracle,
     su2_tensor_subspace,
 )
 
@@ -179,6 +181,55 @@ def test_state_four_lists_orthonormal(rng):
         for b in range(len(flat)):
             want = 1.0 if a == b else 0.0
             assert real_overlap(flat[a], flat[b]) == pytest.approx(want, abs=1e-10)
+
+
+def _collective(letter: str, n: int) -> str:
+    return " + ".join("i*" + "I" * q + letter + "I" * (n - q - 1) for q in range(n))
+
+
+SPLIT_SYMMETRIES = {
+    "su2": lambda n: [_collective(ch, n) for ch in "XYZ"],
+    "u1": lambda n: [_collective("Z", n)],
+    "z0": lambda n: ["i*Z" + "I" * (n - 1)],
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 3), action=st.sampled_from(["left", "theta"]),
+       kind=st.sampled_from(sorted(SPLIT_SYMMETRIES)), seed=st.integers(0, 10**6),
+       quarter=st.lists(st.booleans(), min_size=3, max_size=3), basis_psi0=st.booleans())
+def test_state_split_matches_projector_oracle(n, action, kind, seed, quarter, basis_psi0):
+    """The four parts, from nullspaces of small row products, against the
+    eigenvectors of projector products.  Angles are exact multiples of
+    pi/2, where the splits degenerate, or uniform draws.  The oracle
+    resolves principal angles only down to about 1e-4, so a draw that puts
+    one between 1e-12 and 1e-2 (about 1 in 3000) is discarded."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(n, 3, rng)
+    theta = np.where(quarter, rng.integers(0, 4, 3) * np.pi / 2, rng.uniform(0, 2 * np.pi, 3))
+    psi0 = (circuit.basis_state("".join(rng.choice(["0", "1"], size=n))) if basis_psi0
+            else random_state(n, rng))
+    sym = cli.symmetry_from_strings(SPLIT_SYMMETRIES[kind](n), action, n)
+    wants, near_cut = state_four_split_oracle(sym, c, theta, psi0)
+    assume(not near_cut)
+    sd = tangent.state_four_decomposition(sym, c, theta, psi0)
+    for part, want in zip((sd.cov, sd.both, sd.equi, sd.vert), wants):
+        assert len(part) == len(want)
+        got = np.reshape([tangent.embed_real(v) for v in part], (-1, 2 * c.dim))
+        assert np.max(np.abs(got.T @ got - want.T @ want)) < 1e-10
+
+
+@pytest.mark.parametrize("eps, counts", [(0.0, (2, 0, 1, 0)), (1e-6, (1, 1, 1, 0)),
+                                         (1e-4, (1, 1, 1, 0)), (0.3, (1, 1, 1, 0))])
+def test_state_split_resolves_small_angles(eps, counts):
+    """RY(eps)|0> under the Z symmetry: the commutant tangents i psi and
+    i Z psi differ by about eps, so every eps > 0 well above the rank
+    tolerance splits as generic, with no residual."""
+    c = circuit.CircuitSpec(1, (circuit.rotation("Y", (0,), param=0),), 1)
+    sym = tangent.SymmetrySpec(T_Z, "left")
+    sd = tangent.state_four_decomposition(sym, c, [eps], circuit.basis_state("0"))
+    assert (len(sd.cov), len(sd.both), len(sd.equi), len(sd.vert)) == counts
+    assert sd.residual_dim == 0
 
 
 def test_induced_split_u1_at_zero():
