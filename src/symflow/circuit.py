@@ -10,6 +10,9 @@ derived from the same model.
 The evaluation core is :func:`evaluate`: one pass over the gates carries
 psi, every partial d_j psi and the symmetry tangents as one batch of
 states, so everything downstream is a matrix product on its result.
+The frame of the symmetry tangents comes from one SVD of their real
+embedding, cut by the ``nummat`` rank rule: it gives an orthonormal
+frame of their span, its rank and the pseudo-inverse of their Gram matrix.
 Each generator's matrix and eigendecomposition are computed once and
 cached (:func:`generator_matrix`, :func:`generator_spectrum`), so a gate
 unitary is a phase multiply.  A cost spec (:class:`ExpectationCost`,
@@ -24,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import liealg, pauli
-from .nummat import sym_orthonormalize
+from .nummat import embed_real, orthonormal_frame, unembed
 
 DENSE_QUBIT_CAP = 10
 SPECTRUM_CACHE_SIZE = 256
@@ -98,6 +101,11 @@ def check_theta(c: CircuitSpec, theta) -> np.ndarray:
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta entries must be finite")
     return theta
+
+
+def check_action(action: str) -> None:
+    if action not in ("left", "theta"):
+        raise ValueError(f"action must be 'left' or 'theta', got {action!r}")
 
 
 def gate_angle(g: Gate, theta: np.ndarray) -> float:
@@ -242,13 +250,21 @@ def state_partial(c: CircuitSpec, theta, j: int, psi0: Statevector) -> Statevect
 
 @dataclass(frozen=True, eq=False)
 class TangentFrame:
-    """Raw symmetry tangents (rows), their Gram matrix, and an orthonormal
-    frame of their span (rows)."""
+    """Raw symmetry tangents (rows), their Gram matrix, and what one SVD of
+    their real embedding gives: an orthonormal frame ``onb = coeffs @ raw``
+    of their span (rows), its ``rank``, and the Gram pseudo-inverse
+    ``coeffs.T @ coeffs``."""
 
     raw: np.ndarray
     gram: np.ndarray
+    coeffs: np.ndarray
     onb: np.ndarray
     rank: int
+
+    @property
+    def gram_pinv(self) -> np.ndarray:
+        """G^+ under the frame's rank cut."""
+        return self.coeffs.T @ self.coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +294,7 @@ def evaluate(c: CircuitSpec, theta, psi0: Statevector, generators=(),
     its own gate, the row is exactly d_j psi once the pass ends.  Under
     the ``left`` action the tangents are z_b psi at the output state.
     """
-    if action not in ("left", "theta"):
-        raise ValueError(f"action must be 'left' or 'theta', got {action!r}")
+    check_action(action)
     theta = check_theta(c, theta)
     psi0 = _check_states(c, psi0).reshape(c.dim)
     z = np.asarray(generators, dtype=complex)
@@ -301,22 +316,16 @@ def evaluate(c: CircuitSpec, theta, psi0: Statevector, generators=(),
     psi = batch[0]
     partials = np.zeros((c.n_params, c.dim), dtype=complex)
     partials[order] = batch[carried:]
-    if action == "theta":
-        frame = _frame(at_action, batch[1:carried])
-    else:
-        at_action = z @ psi
-        frame = _frame(at_action, at_action)
+    frame = _frame(batch[1:carried] if action == "theta" else z @ psi)
     return Evaluation(psi, partials, frame)
 
 
-def _frame(at_action: np.ndarray, raw: np.ndarray) -> TangentFrame:
-    """Frame of the tangents ``raw``; the Gram matrix and the orthonormal
-    combinations come from the same tangents at the action point, which
-    the circuit maps isometrically onto ``raw``."""
-    gram = np.real(at_action.conj() @ at_action.T)
-    coeffs = sym_orthonormalize(np.eye(len(raw)), gram) if len(raw) else np.zeros((0, 0))
-    onb = coeffs @ raw
-    return TangentFrame(raw, gram, onb, len(onb))
+def _frame(raw: np.ndarray) -> TangentFrame:
+    """Frame of the tangents ``raw`` from one SVD of their real embedding:
+    its right singular vectors are the orthonormal rows coeffs @ raw, so
+    a direction counts when its singular value passes the rank rule."""
+    rows, coeffs = orthonormal_frame(embed_real(raw))
+    return TangentFrame(raw, np.real(raw.conj() @ raw.T), coeffs, unembed(rows), len(rows))
 
 
 class _ObservableCost:

@@ -72,8 +72,7 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
     measured; with ``decompose_generator`` the roles are exchanged."""
     theta = circuit.check_theta(c, theta)
     z_b = require_skew_hermitian(z_b, name="symmetry generator")
-    if action not in ("left", "theta"):
-        raise ValueError(f"action must be 'left' or 'theta', got {action!r}")
+    circuit.check_action(action)
     k = circuit._gate_index(c, j)
     gate = c.gates[k]
     n = c.n_qubits
@@ -140,8 +139,7 @@ def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
                 action: str) -> float:
     """Symmetry derivative m_a as a central finite difference, step 1e-5,
     of the cost with exp(z_a t) inserted at the action point."""
-    if action not in ("left", "theta"):
-        raise ValueError(f"action must be 'left' or 'theta', got {action!r}")
+    circuit.check_action(action)
     z_a = require_skew_hermitian(z_a, name="symmetry generator")
     psi0 = np.asarray(psi0, dtype=complex)
     m_mat = pauli.to_matrix(m)

@@ -1,13 +1,15 @@
-"""Dense numerical kernel: skew-Hermitian matrix tools, PSD pseudo-inverses,
-nullspaces, row spaces and complements, and Gram-Schmidt and Gram-based
-orthonormalization.
+"""Dense numerical kernel: skew-Hermitian matrix tools, the real embedding
+of state tangents, the PSD pseudo-inverse, nullspaces, row spaces (also
+with the coefficients that produce them) and complements, and
+Gram-Schmidt orthonormalization.
 
 Every numerical-rank decision of the library is made here, by one rule
-(``_kept``): a singular value, Gram eigenvalue or Gram-Schmidt residual
-counts when it exceeds ``rank_tol()`` (``SYMFLOW_TOL``, default 1e-10)
-times its scale and the noise floor ``ZERO_MATRIX_FLOOR`` (squared for
-Gram eigenvalues).  The scale is the largest singular value or eigenvalue,
-or the norm of the vector before orthogonalization.
+(``_kept``): a singular value, a Gram-Schmidt residual or an eigenvalue of
+a matrix given to ``pinv_psd`` counts when it exceeds ``rank_tol()``
+(``SYMFLOW_TOL``, default 1e-10) times its scale and the noise floor
+``ZERO_MATRIX_FLOOR`` (squared for the eigenvalues).  The scale is the
+largest singular value or eigenvalue, or the norm of the vector before
+orthogonalization.
 """
 from __future__ import annotations
 
@@ -69,6 +71,20 @@ def trace_inner(x, y) -> float:
     return float(np.real(np.sum(x.conj() * y))) / d
 
 
+def embed_real(v) -> np.ndarray:
+    """A complex vector, or each row of a stack, as the real vector
+    (Re v, Im v), so that Re<a|b> is the dot product of the embeddings."""
+    v = np.asarray(v, dtype=complex)
+    return np.concatenate([v.real, v.imag], axis=-1)
+
+
+def unembed(r) -> np.ndarray:
+    """Inverse of :func:`embed_real`, on a vector or each row of a stack."""
+    r = np.asarray(r, dtype=float)
+    half = r.shape[-1] // 2
+    return r[..., :half] + 1j * r[..., half:]
+
+
 def expm_skew(x, scale: float = 1.0) -> np.ndarray:
     """exp(scale * x) for skew-Hermitian x, via eigendecomposition of i*x.
 
@@ -80,8 +96,8 @@ def expm_skew(x, scale: float = 1.0) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def _psd_eig(g):
-    """Eigenpairs of a symmetric PSD matrix and the mask of those kept."""
+def pinv_psd(g) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a symmetric PSD matrix."""
     g = np.asarray(g)
     if np.iscomplexobj(g):
         if np.max(np.abs(g.imag)) > 1e-10:
@@ -95,37 +111,41 @@ def _psd_eig(g):
     evals, vecs = np.linalg.eigh((g + g.T) / 2.0) if g.size else (np.zeros(0), np.zeros((0, 0)))
     # an eigenvalue below the floor squared is a direction of norm below the floor: noise
     keep = _kept(evals, np.max(evals, initial=0.0), rank_tol(), ZERO_MATRIX_FLOOR**2)
-    return evals, vecs, keep
-
-
-def pinv_psd(g) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric PSD matrix."""
-    evals, vecs, keep = _psd_eig(g)
     inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
     return (vecs * inv) @ vecs.T
 
 
-def _svd_rows(m, null: bool) -> tuple[int, np.ndarray]:
-    """Numerical rank and right singular vectors of a real matrix: all of V
-    for a nullspace, the thin V otherwise; rank 0 and V = I below the floor."""
+def _svd_rows(m, null: bool) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Numerical rank and SVD factors U, s, V^T of a real matrix: all of V
+    for a nullspace, the thin V otherwise; rank 0, no singular pairs and
+    V = I below the floor."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] == 0 or not np.any(np.abs(m) > ZERO_MATRIX_FLOOR):
-        return 0, np.eye(m.shape[1])
+        return 0, np.zeros((m.shape[0], 0)), np.zeros(0), np.eye(m.shape[1])
     # a tall matrix's thin SVD already returns the full V
-    _, svals, vh = np.linalg.svd(m, full_matrices=null and m.shape[0] < m.shape[1])
-    return int(np.sum(_kept(svals, svals[0], rank_tol()))), vh
+    u, svals, vh = np.linalg.svd(m, full_matrices=null and m.shape[0] < m.shape[1])
+    return int(np.sum(_kept(svals, svals[0], rank_tol()))), u, svals, vh
 
 
 def nullspace_real(m) -> np.ndarray:
     """Orthonormal basis of the right nullspace of a real matrix, as rows."""
-    rank, vh = _svd_rows(m, null=True)
+    rank, _, _, vh = _svd_rows(m, null=True)
     return vh[rank:]
 
 
 def orthonormal_rows(m) -> np.ndarray:
     """Orthonormal basis of the row space of a real matrix, as rows."""
-    rank, vh = _svd_rows(m, null=False)
+    rank, _, _, vh = _svd_rows(m, null=False)
     return vh[:rank]
+
+
+def orthonormal_frame(m) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows V_r^T spanning the row space of a real (k, n)
+    matrix, and the coefficients C = S_r^{-1} U_r^T with C @ m = V_r^T,
+    from one thin SVD m = U S V^T cut by the rank rule.  C^T C is the
+    pseudo-inverse of the Gram matrix m m^T under the same cut."""
+    rank, u, svals, vh = _svd_rows(m, null=False)
+    return vh[:rank], (u[:, :rank] / svals[:rank]).T
 
 
 def complement_rows(rows: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -154,25 +174,3 @@ class GramSchmidt:
             if _kept(res, norm, self._tol):
                 self.rows = np.vstack([self.rows, vec / res])
         return self.rows[start:]
-
-
-def sym_orthonormalize(vectors, gram) -> np.ndarray:
-    """Orthonormalize a redundant family via the square-rooted pseudo-inverse
-    of its Gram matrix.
-
-    Works in the eigenbasis of ``gram``: each kept output row is
-    lambda_a^{-1/2} * sum_b W[b, a] * vectors[b] for an eigenpair
-    (lambda_a, W[:, a]) above the rank cut, in descending eigenvalue order;
-    null directions are dropped, so the row count equals the numerical rank
-    of ``gram``.  All rows come from one matrix product.
-    """
-    evals, vecs, keep = _psd_eig(gram)
-    if len(vectors) != evals.size:
-        raise ValueError(
-            f"Gram matrix of size {evals.size} does not match {len(vectors)} vectors"
-        )
-    if not len(vectors):
-        return np.zeros((0, 0))
-    keep = np.flatnonzero(keep)[::-1]  # descending eigenvalue order
-    stack = np.stack([np.asarray(v) for v in vectors])
-    return np.tensordot((vecs[:, keep] / np.sqrt(evals[keep])).T, stack, axes=1)

@@ -5,7 +5,8 @@ symmetry (vertical) directions; the equivariant derivative keeps only the
 component along the commutant directions.  For cost functions both reduce
 to contractions of three measurable ingredients: the symmetry derivative
 m_a, the tangent overlaps omega_{bj}, and the Gram matrix of the symmetry
-tangents, combining into the vector potential A = G^+ omega.
+tangents, combining into the vector potential A = G^+ omega; G^+ comes
+from the tangent frame's SVD (``TangentFrame.gram_pinv``).
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, liealg, pauli, tangent
-from .nummat import pinv_psd
 from .tangent import SymmetrySpec
 
 
@@ -115,7 +115,7 @@ def _cost_report(ev: circuit.Evaluation, covector: np.ndarray,
     m_vec = 2.0 * np.real(frame.raw.conj() @ covector)
     partial = ev.gradient(covector)
     omega = _omega(ev)
-    potential = pinv_psd(frame.gram) @ omega
+    potential = frame.gram_pinv @ omega
     if basis_kind == "vertical":
         projected = partial - m_vec @ potential
     else:
@@ -154,4 +154,4 @@ def vector_potential(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> 
     """A[a, j] = (G^+ omega)[a, j] for the vertical basis; independent of
     any observable."""
     ev = tangent.evaluate(sym, c, theta, psi0)
-    return pinv_psd(ev.frame.gram) @ _omega(ev)
+    return ev.frame.gram_pinv @ _omega(ev)

@@ -7,7 +7,7 @@ The two actions differ in where the symmetry generator is inserted:
 ``theta`` acts at the initial state (before the circuit), ``left`` at the
 output state (after the circuit).  Tangent vectors live in the real
 vector space spanned by x|psi> for skew-Hermitian x, with inner product
-Re<a|b>; internally they are embedded into R^{2d}.
+Re<a|b>; internally they are embedded into R^{2d} (``nummat.embed_real``).
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import circuit, liealg
 from .circuit import TangentFrame
-from .nummat import ContractViolation, complement_rows, nullspace_real, orthonormal_rows
+from .nummat import (ContractViolation, complement_rows, embed_real, nullspace_real,
+                     orthonormal_rows, unembed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +30,7 @@ class SymmetrySpec:
     action: str  # "left" or "theta"
 
     def __post_init__(self):
-        if self.action not in ("left", "theta"):
-            raise ValueError(f"action must be 'left' or 'theta', got {self.action!r}")
+        circuit.check_action(self.action)
         if not liealg.is_subalgebra(self.generators):
             raise ContractViolation("symmetry generators are not bracket-closed")
 
@@ -51,17 +51,6 @@ class StateFourDecomposition:
     equi: tuple[np.ndarray, ...]
     vert: tuple[np.ndarray, ...]
     residual_dim: int
-
-
-def embed_real(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
-
-
-def unembed(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    half = r.size // 2
-    return r[:half] + 1j * r[half:]
 
 
 def z_basis(sym: SymmetrySpec, basis_kind: str) -> tuple[np.ndarray, ...]:
@@ -97,11 +86,6 @@ def state_tangent_rows(psi) -> np.ndarray:
     return nullspace_real(embed_real(psi)[None, :])
 
 
-def _rows_from_tangents(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal embedded rows spanning the rows of a (k, d) stack."""
-    return orthonormal_rows(_embed_columns(vectors).T)
-
-
 def _orthogonal_part(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Orthonormal rows of span(rows) intersected with the orthocomplement
     of span(other), both given by orthonormal rows."""
@@ -112,13 +96,12 @@ def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                              psi0) -> StateFourDecomposition:
     """Orthogonal four-way split of the unitary tangent space at the state.
 
-    Each part is a nullspace of a small row product of spans taken from the
-    raw tangents by SVD (a frame's Gram eigenvalue cut resolves directions
-    only to about the square root of the rank tolerance)."""
+    Each part is a nullspace of a small row product of the vertical and
+    equivariant spans, read from the embedded frames' ``onb`` rows."""
     vertical = evaluate(sym, c, theta, psi0)
     t_rows = state_tangent_rows(vertical.psi)
-    v_rows = _rows_from_tangents(vertical.frame.raw)
-    e_rows = _rows_from_tangents(equivariant_frame(sym, c, theta, psi0).raw)
+    v_rows = embed_real(vertical.frame.onb)
+    e_rows = embed_real(equivariant_frame(sym, c, theta, psi0).onb)
     h_rows = complement_rows(t_rows, v_rows)
 
     # the equivariant tangents lie in the tangent space, split as v + h
@@ -127,16 +110,9 @@ def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     cov_rows = _orthogonal_part(h_rows, e_rows)
     vert_rows = _orthogonal_part(v_rows, equi_rows)
 
-    parts = [tuple(unembed(r) for r in rows)
-             for rows in (cov_rows, both_rows, equi_rows, vert_rows)]
+    parts = [tuple(unembed(rows)) for rows in (cov_rows, both_rows, equi_rows, vert_rows)]
     residual = t_rows.shape[0] - sum(map(len, parts))
     return StateFourDecomposition(*parts, residual_dim=residual)
-
-
-def _embed_columns(states: np.ndarray) -> np.ndarray:
-    """Embedded states, one per row of ``states``, as the columns of a
-    real (2d, k) matrix."""
-    return np.concatenate([states.real, states.imag], axis=1).T
 
 
 def _action_matrix(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
@@ -145,8 +121,8 @@ def _action_matrix(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     of basis element a; the tangent of a coordinate row r is this @ r."""
     basis = liealg.skew_basis(c.dim)
     if sym.action == "theta":
-        return _embed_columns((basis @ psi0) @ circuit.build_unitary(c, theta).T)
-    return _embed_columns(basis @ circuit.apply(c, theta, psi0))
+        return embed_real((basis @ psi0) @ circuit.build_unitary(c, theta).T).T
+    return embed_real(basis @ circuit.apply(c, theta, psi0)).T
 
 
 def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
@@ -160,12 +136,12 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     orthogonal complement under the trace inner product.  Zero-tangent
     directions outside the symmetry algebra therefore count as vertical
     when they are shadowed by a genuine symmetry tangent, while trivially
-    acting symmetry generators never do.  The vertical span comes from the
-    raw tangents, as in :func:`state_four_decomposition`.
+    acting symmetry generators never do.  The vertical span is read from
+    the embedded frame's ``onb`` rows, as in :func:`state_four_decomposition`.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     d = c.dim
-    v_rows = _rows_from_tangents(vertical_frame(sym, c, theta, psi0).raw)
+    v_rows = embed_real(vertical_frame(sym, c, theta, psi0).onb)
     p_v = v_rows.T @ v_rows
     action = _action_matrix(sym, c, theta, psi0)
 

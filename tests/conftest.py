@@ -1,7 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from symflow import circuit, liealg, nummat, pauli, tangent
+
+# Hypothesis imports its failure-patch writer, and libcst with it, only once
+# a test fails; libcst's import warns DeprecationWarning, which under
+# ``-W error`` would end the run in an INTERNALERROR instead of the
+# falsifying example.  Importing it here, quietly, keeps the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_skew(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,12 +76,9 @@ def span_of(mats, d: int) -> liealg.Subspace:
 
 
 def span_rows(vectors) -> np.ndarray:
-    from symflow.nummat import orthonormal_rows
-    from symflow.tangent import embed_real
-
     if not len(vectors):
         return np.zeros((0, 0))
-    return orthonormal_rows(np.stack([embed_real(v) for v in vectors]))
+    return nummat.orthonormal_rows(nummat.embed_real(np.stack(vectors)))
 
 
 def same_tangent_span(vecs, targets, tol: float = 1e-8) -> bool:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symflow import circuit, liealg, pauli
+from symflow import circuit, estimators, liealg, pauli, tangent
 from conftest import (
     cost_partial_commutator,
     random_circuit,
@@ -305,3 +305,18 @@ def test_random_product_state_deterministic():
     b = circuit.random_product_state(2, 7)
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unknown_action_rejected_with_one_message():
+    c = circuit.CircuitSpec(1, (circuit.rotation("Y", (0,), param=0),), 1)
+    z = 1j * Z
+    psi0 = circuit.basis_state("0")
+    calls = [
+        lambda: circuit.evaluate(c, [0.3], psi0, [z], "right"),
+        lambda: tangent.SymmetrySpec(liealg.subspace(2, [z]), "right"),
+        lambda: estimators.build_ancilla_circuit(c, [0.3], 0, z, "right"),
+        lambda: estimators.insertion_m(c, [0.3], psi0, pauli.parse_pauli_sum("Z", 1), z, "right"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="action must be 'left' or 'theta', got 'right'"):
+            call()

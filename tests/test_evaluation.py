@@ -68,7 +68,12 @@ def check_point(c, theta, psi0, sym, obs):
     for a, z in enumerate(sym.generators.basis):
         assert abs(estimators.insertion_m(c, theta, psi0, obs, z, sym.action) - m[a]) < 1e-6
 
-    # the frame is orthonormal and spans the raw tangents
+    # the frame's rank is the SVD rank of the embedded raw tangents under
+    # the rank rule, and the frame is orthonormal and spans them
+    svals = np.linalg.svd(np.concatenate([ev.frame.raw.real, ev.frame.raw.imag], axis=1),
+                          compute_uv=False)
+    cut = max(nummat.rank_tol() * np.max(svals, initial=0.0), nummat.ZERO_MATRIX_FLOOR)
+    assert ev.frame.rank == int(np.sum(svals > cut))
     onb = ev.frame.onb
     if len(onb):
         assert np.max(np.abs(np.real(onb.conj() @ onb.T) - np.eye(len(onb)))) < 1e-10

@@ -92,13 +92,14 @@ def test_sqrt_pinv_squares_to_pinv(rng):
     g = b @ b.T
     r = sqrt_pinv_psd(g)
     assert np.allclose(r @ r, nummat.pinv_psd(g), atol=1e-10)
-    # Loewdin's route: the rows of (G^+)^{1/2} V span what sym_orthonormalize keeps
+    # Loewdin's route: the rows of (G^+)^{1/2} V span what orthonormal_frame keeps
     vecs = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 6))
     gram = vecs @ vecs.T
     lowdin = sqrt_pinv_psd(gram) @ vecs
-    out = nummat.sym_orthonormalize(vecs, gram)
+    out, coeffs = nummat.orthonormal_frame(vecs)
     assert out.shape == (3, 6)
     assert np.allclose(lowdin.T @ lowdin, out.T @ out, atol=1e-10)
+    assert np.allclose(coeffs.T @ coeffs, nummat.pinv_psd(gram), atol=1e-10)
 
 
 def test_nullspace_zero_and_identity():
@@ -116,55 +117,74 @@ def test_nullspace_rank_one(rng):
         assert np.linalg.norm(m @ r) < 1e-10
 
 
-def test_sym_orthonormalize_identity_gram():
+def _frame_of(vecs) -> tuple[np.ndarray, np.ndarray]:
+    """orthonormal_frame of complex tangents: (unembedded rows, coefficients)."""
+    rows, coeffs = nummat.orthonormal_frame(nummat.embed_real(np.stack(vecs)))
+    return nummat.unembed(rows), coeffs
+
+
+def test_embed_real_on_stacks(rng):
+    vecs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    emb = nummat.embed_real(vecs)
+    assert emb.shape == (3, 8)
+    assert np.array_equal(emb[1], nummat.embed_real(vecs[1]))
+    assert np.array_equal(nummat.unembed(emb), vecs)
+    assert np.allclose(emb @ emb.T, np.real(vecs.conj() @ vecs.T), atol=1e-14)
+
+
+def test_orthonormal_frame_identity_gram():
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
     vecs = [1j * plus, 1j * minus]
-    out = nummat.sym_orthonormalize(vecs, np.eye(2))
+    out, coeffs = _frame_of(vecs)
     assert len(out) == 2
     got = {tuple(np.round(np.abs(v), 12)) for v in out}
     want = {tuple(np.round(np.abs(v), 12)) for v in vecs}
     assert got == want
+    assert np.allclose(coeffs.T @ coeffs, np.eye(2), atol=1e-12)
 
 
-def test_sym_orthonormalize_duplicate():
+def test_orthonormal_frame_duplicate():
     v = np.array([1.0, 2.0j, -1.0])
     v = v / np.linalg.norm(v)
-    gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = nummat.sym_orthonormalize([v, v], gram)
+    out, coeffs = _frame_of([v, v])
     assert len(out) == 1
     assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(coeffs.T @ coeffs, nummat.pinv_psd(np.ones((2, 2))), atol=1e-12)
 
 
-def test_sym_orthonormalize_scaled_pair():
+def test_orthonormal_frame_scaled_pair():
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
     vecs = [2j * plus, 2j * minus]
-    out = nummat.sym_orthonormalize(vecs, 4.0 * np.eye(2))
+    out, coeffs = _frame_of(vecs)
     assert len(out) == 2
     for a in range(2):
         for b in range(2):
             want = 1.0 if a == b else 0.0
             assert np.real(np.vdot(out[a], out[b])) == pytest.approx(want, abs=1e-10)
+    assert np.allclose(coeffs.T @ coeffs, 0.25 * np.eye(2), atol=1e-12)
 
 
 @settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 10**6), k=st.integers(2, 5))
-def test_sym_orthonormalize_outputs_orthonormal(seed, k):
+@given(seed=st.integers(0, 10**6), k=st.integers(2, 5), r=st.integers(1, 5))
+def test_orthonormal_frame_outputs_orthonormal(seed, k, r):
+    """Rows are orthonormal, equal coeffs @ vecs and count the rank of the
+    Gram matrix; coeffs^T coeffs is its pseudo-inverse, also when the k
+    vectors span only min(k, r) directions."""
     rng = np.random.default_rng(seed)
-    vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(k)]
+    mix = rng.standard_normal((k, r))  # real mixing: Re<a|b> sees real spans
+    vecs = list(mix @ (rng.standard_normal((r, 6)) + 1j * rng.standard_normal((r, 6))))
     gram = np.array([[np.real(np.vdot(a, b)) for b in vecs] for a in vecs])
-    out = nummat.sym_orthonormalize(vecs, gram)
-    assert len(out) == np.linalg.matrix_rank(gram, tol=1e-10)
+    out, coeffs = _frame_of(vecs)
+    assert len(out) == np.linalg.matrix_rank(gram, tol=1e-10) == min(k, r)
     for a in range(len(out)):
         for b in range(len(out)):
             want = 1.0 if a == b else 0.0
             assert np.real(np.vdot(out[a], out[b])) == pytest.approx(want, abs=1e-10)
-
-
-def test_sym_orthonormalize_gram_size_mismatch():
-    with pytest.raises(ValueError):
-        nummat.sym_orthonormalize([np.ones(2)], np.eye(2))
+    assert np.allclose(coeffs @ np.stack(vecs), out, atol=1e-10)
+    scale = max(1.0, np.max(np.abs(nummat.pinv_psd(gram))))
+    assert np.max(np.abs(coeffs.T @ coeffs - nummat.pinv_psd(gram))) < 1e-8 * scale
 
 
 def test_rank_tol_env_override(monkeypatch):
@@ -198,4 +218,5 @@ def test_psd_rank_cut_has_absolute_floor():
     not the rank its relative spectrum would suggest."""
     g = 1e-33 * np.diag([1.0, 0.5])
     assert np.all(nummat.pinv_psd(g) == 0.0)
-    assert nummat.sym_orthonormalize([1e-17 * np.ones(2), 1e-17j * np.ones(2)], g).shape[0] == 0
+    out, coeffs = _frame_of([1e-17 * np.ones(2), 1e-17j * np.ones(2)])
+    assert out.shape == (0, 2) and coeffs.shape == (0, 2)

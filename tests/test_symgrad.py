@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symflow import circuit, liealg, pauli, symgrad, tangent
+from symflow import circuit, liealg, nummat, pauli, symgrad, tangent
 from symflow.nummat import expm_skew, pinv_psd
 from conftest import (
     omega_anticommutator,
@@ -360,6 +360,68 @@ def test_equivariant_cost_vanishes_for_bicommutant_observable(rng):
     rep = symgrad.equivariant_derivative_cost(sym_z("left"), c, theta, psi0, obs)
     assert np.max(np.abs(rep.m)) < 1e-12
     assert np.max(np.abs(rep.projected)) < 1e-12
+
+
+def _near_cut_example(eps: float):
+    """RY(eps) and RY(2 eps) on |00>, then fixed XY, YX, XX, YY rotations
+    by angles below 1e-6: the commutant tangents of total Z are nearly
+    dependent, with singular values from O(1) down to about eps."""
+    fixed = np.random.default_rng(1).uniform(0, 1e-6, 4)
+    gates = [circuit.rotation("Y", (0,), param=0), circuit.rotation("Y", (1,), param=1)]
+    gates += [circuit.rotation(w, (0, 1), angle=float(a))
+              for w, a in zip(("XY", "YX", "XX", "YY"), fixed)]
+    return circuit.CircuitSpec(2, tuple(gates), 2), np.array([eps, 2 * eps]), fixed
+
+
+def _equivariant_cost_oracle(theta, fixed, obs_mat, tol: float) -> np.ndarray:
+    """E_j C = 2 Re <M psi| P d_j psi> from dense numpy: P projects onto
+    the SVD span of the tangents x psi, x in the commutant of total Z (the
+    nullspace of its adjoint map on the 16 Hermitian basis matrices)."""
+    paulis = {ch: pauli.word_matrix(ch) for ch in "IXYZ"}
+    words = [a + b for a in "IXYZ" for b in "IXYZ"]
+    mats = {w: np.kron(paulis[w[0]], paulis[w[1]]) for w in words}
+
+    def rot(word, angle):
+        return np.cos(angle / 2) * np.eye(4) - 1j * np.sin(angle / 2) * mats[word]
+
+    tail = np.eye(4)
+    for w, a in zip(("XY", "YX", "XX", "YY"), fixed):
+        tail = rot(w, a) @ tail
+    ry0, ry1 = rot("YI", theta[0]), rot("IY", theta[1])
+    psi0 = np.eye(4)[0]
+    psi = tail @ ry1 @ ry0 @ psi0
+    dpsi = [tail @ ry1 @ (-0.5j * mats["YI"]) @ ry0 @ psi0,
+            tail @ (-0.5j * mats["IY"]) @ ry1 @ ry0 @ psi0]
+
+    total_z = mats["ZI"] + mats["IZ"]
+    comms = [total_z @ mats[w] - mats[w] @ total_z for w in words]
+    ad = np.stack([np.concatenate([k.real.ravel(), k.imag.ravel()]) for k in comms], axis=1)
+    _, svals, vh = np.linalg.svd(ad)
+    null = vh[int(np.sum(svals > 1e-12)):]
+    commutant = [1j * sum(c * mats[w] for c, w in zip(row, words)) for row in null]
+
+    def emb(v):
+        return np.concatenate([v.real, v.imag])
+
+    tangents = np.stack([emb(x @ psi) for x in commutant])
+    _, svals, vh = np.linalg.svd(tangents, full_matrices=False)
+    span = vh[svals > tol * svals[0]]
+    covector = emb(obs_mat @ psi)
+    return np.array([2.0 * covector @ (span.T @ (span @ emb(d))) for d in dpsi])
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+def test_equivariant_cost_near_the_rank_cut(eps):
+    """Directions of the commutant tangents far shorter than the longest
+    but above the rank cut still count in E_j C."""
+    c, theta, fixed = _near_cut_example(eps)
+    obs = pauli.parse_pauli_sum("0.7*XX + 0.4*YY - 0.3*XY + 0.2*ZI", 2)
+    sym = tangent.SymmetrySpec(liealg.subspace(4, [1j * pauli.to_matrix(
+        pauli.parse_pauli_sum("ZI + IZ", 2)) / np.sqrt(2)]), "left")
+    rep = symgrad.equivariant_derivative_cost(sym, c, theta, circuit.basis_state("00"), obs)
+    want = _equivariant_cost_oracle(theta, fixed, pauli.to_matrix(obs), nummat.rank_tol())
+    assert np.max(np.abs(rep.projected - want)) < 1e-10
+    assert abs(want[0]) > 0.5 * eps  # the oracle sees the short directions
 
 
 def test_covariant_derivative_is_equivariant_map(rng):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from symflow import circuit, cli, liealg, pauli, tangent
-from symflow.nummat import ContractViolation, expm_skew, nullspace_real, orthonormal_rows, trace_inner
+from symflow.nummat import (ContractViolation, embed_real, expm_skew, nullspace_real,
+                            orthonormal_rows, trace_inner)
 from conftest import (
     pauli_subspace,
     random_circuit,
@@ -87,7 +88,7 @@ def test_vertical_rank_deficit_counts_stabilizer():
                          (random_state(2, np.random.default_rng(1)), 0)):
         fr = tangent.vertical_frame(sym, ID2, [], psi)
         assert fr.rank <= sym.generators.dim
-        cols = np.stack([tangent.embed_real(z @ psi) for z in sym.generators.basis], axis=1)
+        cols = np.stack([embed_real(z @ psi) for z in sym.generators.basis], axis=1)
         assert nullspace_real(cols).shape[0] == deficit
         assert fr.rank == sym.generators.dim - deficit
 
@@ -115,6 +116,21 @@ def test_equivariant_frame_left_gram(rng):
     sing = np.array([np.pi / 2, 0.0, 0.4])
     fr_sing = tangent.equivariant_frame(sym, c, sing, PLUS)
     assert fr_sing.rank == 1
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-6, 1e-5])
+def test_equivariant_frame_keeps_short_directions(eps):
+    """RY(eps)|0> under i*Z: the commutant tangents i psi and iZ psi have
+    singular values about sqrt(2) and eps / sqrt(2), both far above the
+    1e-10 rank cut, so the frame has rank 2 and spans its raw tangents."""
+    c = circuit.CircuitSpec(1, (circuit.rotation("Y", (0,), param=0),), 1)
+    sym = tangent.SymmetrySpec(T_Z, "left")
+    fr = tangent.equivariant_frame(sym, c, [eps], circuit.basis_state("0"))
+    assert fr.rank == 2
+    onb = np.concatenate([fr.onb.real, fr.onb.imag], axis=1)
+    raw = np.concatenate([fr.raw.real, fr.raw.imag], axis=1)
+    residual = raw - (raw @ onb.T) @ onb
+    assert np.max(np.abs(residual)) < 1e-10 * np.max(np.linalg.norm(raw, axis=1))
 
 
 def test_equivariant_frame_global_phase(rng):
@@ -215,7 +231,7 @@ def test_state_split_matches_projector_oracle(n, action, kind, seed, quarter, ba
     sd = tangent.state_four_decomposition(sym, c, theta, psi0)
     for part, want in zip((sd.cov, sd.both, sd.equi, sd.vert), wants):
         assert len(part) == len(want)
-        got = np.reshape([tangent.embed_real(v) for v in part], (-1, 2 * c.dim))
+        got = np.reshape([embed_real(v) for v in part], (-1, 2 * c.dim))
         assert np.max(np.abs(got.T @ got - want.T @ want)) < 1e-10
 
 
