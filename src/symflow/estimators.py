@@ -7,7 +7,10 @@ in |+>, controlled-w_l, then the relevant part of the circuit), measure
 the ancilla in the X basis together with the gate generator on the
 system, and contract the expectation values with i * chi_l.  An optional
 variant decomposes the gate generator instead and measures the symmetry
-generator.
+generator.  The circuits are simulated in branch form: after the
+controlled word the state is (|0> a + |1> b_l) / sqrt 2, so
+<X (x) B>_l = Re <a|B|b_l>, and one batch of n-qubit rows carries a and
+every b_l through the gates after the control point.
 
 The symmetry derivatives m_a are estimated as central finite differences
 of the cost with exp(z_a t) inserted at the action point.
@@ -34,35 +37,47 @@ class AncillaCircuit:
 
 
 def _shift_gate(g: circuit.Gate, theta: np.ndarray, invert: bool = False) -> circuit.Gate:
-    return circuit.Gate(
-        generator=g.generator,
-        wires=tuple(w + 1 for w in g.wires),
-        angle=circuit.gate_angle(g, theta),
-        scale=-g.scale if invert else g.scale,
-    )
+    return circuit.Gate(g.generator, tuple(w + 1 for w in g.wires),
+                        angle=circuit.gate_angle(g, theta), scale=-g.scale if invert else g.scale)
 
 
 def _controlled_word_gate(word: str) -> circuit.Gate | None:
     """Controlled Pauli word (control = ancilla wire 0) as a pi rotation of
-    |1><1| (x) (1 - P)/2; None for the identity word."""
+    |1><1| (x) (1 - P)/2 = (II - IP - ZI + ZP) / 4; None for the identity word."""
     support = [q for q, ch in enumerate(word) if ch != "I"]
     if not support:
         return None
-    local = "".join(word[q] for q in support)
-    k = len(local)
-    coeffs = {
-        "I" + "I" * k: 0.25,
-        "I" + local: -0.25,
-        "Z" + "I" * k: -0.25,
-        "Z" + local: 0.25,
-    }
-    gen = pauli.pauli_sum(k + 1, coeffs)
-    wires = (0,) + tuple(q + 1 for q in support)
-    return circuit.Gate(gen, wires, angle=np.pi)
+    local, idle = "".join(word[q] for q in support), "I" * len(support)
+    gen = pauli.pauli_sum(len(support) + 1, {"I" + idle: 0.25, "I" + local: -0.25,
+                                             "Z" + idle: -0.25, "Z" + local: 0.25})
+    return circuit.Gate(gen, (0,) + tuple(q + 1 for q in support), angle=np.pi)
 
 
-def _prefix_word(p: pauli.PauliSum, ch: str) -> pauli.PauliSum:
-    return pauli.pauli_sum(p.n_qubits + 1, {ch + w: c for w, c in p.terms})
+def _operand(x, shape: tuple[int, ...], name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    if x.shape != shape:
+        raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
+    return x
+
+
+def _plan(c: circuit.CircuitSpec, theta, j: int, z_b, action: str, decompose_generator: bool):
+    """Checked theta and z_b, the gate of parameter j, the decomposed operator,
+    and the gates before and after the controlled word as (gate, inverted)."""
+    theta = circuit.check_theta(c, theta)
+    z_b = require_skew_hermitian(_operand(z_b, (c.dim, c.dim), "z_b"), name="symmetry generator")
+    circuit.check_action(action)
+    k = circuit._gate_index(c, j)
+    gate, forward = c.gates[k], [(g, False) for g in c.gates]
+    if decompose_generator:
+        decomposition = pauli.unitary_decomposition(
+            circuit.embed_operator(circuit.gate_skew_generator(gate), gate.wires, c.n_qubits))
+        undo_prefix = [(g, True) for g in reversed(c.gates[:k])]
+        parts = forward[:k], undo_prefix if action == "theta" else forward[k:]
+    else:
+        decomposition = pauli.unitary_decomposition(z_b)
+        undo_suffix = [(g, True) for g in reversed(c.gates[k:])]
+        parts = ([], forward[:k]) if action == "theta" else (forward, undo_suffix)
+    return theta, z_b, gate, decomposition, parts
 
 
 def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: str,
@@ -70,85 +85,68 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
     """One fixed-angle ancilla circuit per unitary term of the decomposed
     operator.  By default z_b is decomposed and the gate generator is
     measured; with ``decompose_generator`` the roles are exchanged."""
-    theta = circuit.check_theta(c, theta)
-    z_b = require_skew_hermitian(z_b, name="symmetry generator")
-    circuit.check_action(action)
-    k = circuit._gate_index(c, j)
-    gate = c.gates[k]
-    n = c.n_qubits
-
+    theta, z_b, gate, decomposition, parts = _plan(c, theta, j, z_b, action, decompose_generator)
     if decompose_generator:
-        kappa = circuit.embed_operator(circuit.gate_skew_generator(gate), gate.wires, n)
-        decomposition = pauli.unitary_decomposition(kappa)
         system_obs = pauli.pauli_decompose(1j * z_b)
     else:
-        decomposition = pauli.unitary_decomposition(z_b)
-        system_obs = pauli.embed(gate.generator, gate.wires, n) * (-gate.scale)
-    observable = _prefix_word(system_obs, "X")
-
+        system_obs = pauli.embed(gate.generator, gate.wires, c.n_qubits) * (-gate.scale)
+    observable = pauli.pauli_sum(c.n_qubits + 1, {"X" + w: v for w, v in system_obs.terms})
+    before, after = (tuple(_shift_gate(g, theta, inv) for g, inv in part) for part in parts)
     out = []
     for chi, word in decomposition.terms:
         ctrl = _controlled_word_gate(word)
-        gates: list[circuit.Gate] = []
-        if decompose_generator:
-            if action == "theta":
-                gates += [_shift_gate(g, theta) for g in c.gates[:k]]
-                if ctrl is not None:
-                    gates.append(ctrl)
-                gates += [_shift_gate(g, theta, invert=True) for g in reversed(c.gates[:k])]
-            else:
-                gates += [_shift_gate(g, theta) for g in c.gates[:k]]
-                if ctrl is not None:
-                    gates.append(ctrl)
-                gates += [_shift_gate(g, theta) for g in c.gates[k:]]
-        else:
-            if action == "theta":
-                if ctrl is not None:
-                    gates.append(ctrl)
-                gates += [_shift_gate(g, theta) for g in c.gates[:k]]
-            else:
-                gates += [_shift_gate(g, theta) for g in c.gates]
-                if ctrl is not None:
-                    gates.append(ctrl)
-                gates += [_shift_gate(g, theta, invert=True) for g in reversed(c.gates[k:])]
-        base = circuit.CircuitSpec(n + 1, tuple(gates), 0)
-        out.append(AncillaCircuit(base, observable, chi))
+        gates = before + ((ctrl,) if ctrl is not None else ()) + after
+        out.append(AncillaCircuit(circuit.CircuitSpec(c.n_qubits + 1, gates, 0), observable, chi))
     return out
 
 
-PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+def _run(part, theta: np.ndarray, states: np.ndarray, n: int) -> np.ndarray:
+    for g, inverted in part:
+        u = circuit.gate_unitary(g, theta)
+        states = circuit.apply_local(states, u.conj().T if inverted else u, g.wires, n)
+    return states
+
+
+def hadamard_terms(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str,
+                   decompose_generator: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """chi_l and <X (x) B>_l = Re <a|B|b_l> for the circuits of
+    :func:`build_ancilla_circuit`, in its order, in branch form."""
+    psi0 = _operand(psi0, (c.dim,), "psi0")
+    theta, z_b, gate, decomposition, (before, after) = _plan(c, theta, j, z_b, action,
+                                                             decompose_generator)
+    n = c.n_qubits
+    x = _run(before, theta, psi0, n)
+    rows = _run(after, theta, np.stack([x] + [pauli.word_matrix(w) @ x
+                                              for _, w in decomposition.terms]), n)
+    if decompose_generator:
+        b_on_a = 1j * (z_b @ rows[0])
+    else:
+        b_mat = -gate.scale * circuit.generator_matrix(gate.generator)
+        b_on_a = circuit.apply_local(rows[0], b_mat, gate.wires, n)
+    chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
+    return chi, np.real(rows[1:] @ b_on_a.conj())
 
 
 def hadamard_omega(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str,
                    decompose_generator: bool = False) -> float:
-    """omega_{bj} from exact simulation of the ancilla circuits:
-    i * sum_l chi_l <phi_l| B |phi_l>."""
-    circuits = build_ancilla_circuit(c, theta, j, z_b, action, decompose_generator)
-    start = np.kron(PLUS, np.asarray(psi0, dtype=complex))
-    # every circuit of one call measures the same X (x) B
-    obs = pauli.to_matrix(circuits[0].observable) if circuits else None
-    total = 0.0 + 0.0j
-    for anc in circuits:
-        phi = circuit.apply(anc.base, [], start)
-        total += anc.chi * np.vdot(phi, obs @ phi)
-    total *= 1j
-    return float(total.real)
+    """omega_{bj} = Re(i * sum_l chi_l <X (x) B>_l), from :func:`hadamard_terms`."""
+    chi, terms = hadamard_terms(c, theta, j, z_b, psi0, action, decompose_generator)
+    return float(np.real(1j * chi) @ terms)
 
 
 def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
                 action: str) -> float:
     """Symmetry derivative m_a as a central finite difference, step 1e-5,
     of the cost with exp(z_a t) inserted at the action point."""
+    psi0 = _operand(psi0, (c.dim,), "psi0")
+    z_a = require_skew_hermitian(_operand(z_a, (c.dim, c.dim), "z_a"), name="symmetry generator")
     circuit.check_action(action)
-    z_a = require_skew_hermitian(z_a, name="symmetry generator")
-    psi0 = np.asarray(psi0, dtype=complex)
     m_mat = pauli.to_matrix(m)
-
-    def value(t: float) -> float:
-        if action == "theta":
-            psi = circuit.apply(c, theta, expm_skew(z_a, t) @ psi0)
-        else:
-            psi = expm_skew(z_a, t) @ circuit.apply(c, theta, psi0)
-        return float(np.real(np.vdot(psi, m_mat @ psi)))
-
-    return (value(1e-5) - value(-1e-5)) / 2e-5
+    steps = expm_skew(z_a, np.array([1e-5, -1e-5]))  # one eigh for both steps
+    if action == "theta":
+        psis = [circuit.apply(c, theta, u @ psi0) for u in steps]
+    else:
+        psi = circuit.apply(c, theta, psi0)
+        psis = [u @ psi for u in steps]
+    plus, minus = (float(np.real(np.vdot(psi, m_mat @ psi))) for psi in psis)
+    return (plus - minus) / 2e-5

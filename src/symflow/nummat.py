@@ -86,14 +86,15 @@ def unembed(r) -> np.ndarray:
 
 
 def expm_skew(x, scale: float = 1.0) -> np.ndarray:
-    """exp(scale * x) for skew-Hermitian x, via eigendecomposition of i*x.
+    """exp(scale * x) for skew-Hermitian x, via eigendecomposition of i*x;
+    one eigendecomposition gives the stack for an array of scales.
 
     Exactly unitary up to roundoff, which matters more here than speed.
     """
     x = require_skew_hermitian(x)
     evals, vecs = np.linalg.eigh(1j * x)
-    phases = np.exp(-1j * scale * evals)
-    return (vecs * phases) @ vecs.conj().T
+    phases = np.exp(-1j * np.multiply.outer(scale, evals))
+    return (vecs * phases[..., None, :]) @ vecs.conj().T
 
 
 def pinv_psd(g) -> np.ndarray:

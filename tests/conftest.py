@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symflow import circuit, liealg, nummat, pauli, tangent
+from symflow import circuit, estimators, liealg, nummat, pauli, tangent
 
 # Hypothesis imports its failure-patch writer, and libcst with it, only once
 # a test fails; libcst's import warns DeprecationWarning, which under
@@ -103,6 +103,26 @@ def real_overlap(x, y) -> float:
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     return float(np.real(np.vdot(x, y)))
+
+
+ANCILLA_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def ancilla_expectation(anc: estimators.AncillaCircuit, psi0) -> complex:
+    """<phi| X (x) B |phi> for one ancilla circuit simulated on all n+1
+    qubits from |+> (x) psi0."""
+    phi = circuit.apply(anc.base, [], np.kron(ANCILLA_PLUS, np.asarray(psi0, dtype=complex)))
+    return complex(np.vdot(phi, pauli.to_matrix(anc.observable) @ phi))
+
+
+def ancilla_omega(c, theta, j: int, z_b, psi0, action: str,
+                  decompose_generator: bool = False) -> float:
+    """``estimators.hadamard_omega`` from the (n+1)-qubit simulation of every
+    circuit of ``estimators.build_ancilla_circuit``:
+    i * sum_l chi_l <phi_l| X (x) B |phi_l>."""
+    circuits = estimators.build_ancilla_circuit(c, theta, j, z_b, action, decompose_generator)
+    total = sum(anc.chi * ancilla_expectation(anc, psi0) for anc in circuits)
+    return float(np.real(1j * total))
 
 
 def sqrt_pinv_psd(g) -> np.ndarray:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symflow import circuit, estimators, liealg, pauli, symgrad, tangent
+from symflow.nummat import expm_skew
 from conftest import (
+    ancilla_expectation,
+    ancilla_omega,
     random_circuit,
     random_observable,
     random_skew,
@@ -49,6 +53,35 @@ def test_build_first_gate_has_no_partial_circuit():
     circuits = estimators.build_ancilla_circuit(c, [0.1, 0.2], 0, 1j * Z, "theta")
     # only the controlled word remains before measurement
     assert len(circuits[0].base.gates) == 1
+
+
+def test_ancilla_circuit_layouts():
+    # gate k = 1 of three; the suffix starts at gate k, which commutes with
+    # its own generator, so only the layout itself pins where it starts
+    a = circuit.rotation("X", (0,), param=0)
+    b = circuit.rotation("YZ", (1, 0), param=1)
+    f = circuit.rotation("Z", (1,), angle=0.4)
+    c = circuit.CircuitSpec(2, (a, b, f), 2)
+    theta = np.array([0.3, 0.7])
+
+    def fwd(g):
+        return estimators._shift_gate(g, theta)
+
+    def inv(g):
+        return estimators._shift_gate(g, theta, invert=True)
+
+    ctrl_z = estimators._controlled_word_gate("ZZ")  # the word of i * ZZ
+    ctrl_kappa = estimators._controlled_word_gate("ZY")  # b's generator YZ on wires (1, 0)
+    want = {
+        ("theta", False): (ctrl_z, fwd(a)),
+        ("left", False): (fwd(a), fwd(b), fwd(f), ctrl_z, inv(f), inv(b)),
+        ("theta", True): (fwd(a), ctrl_kappa, inv(a)),
+        ("left", True): (fwd(a), ctrl_kappa, fwd(b), fwd(f)),
+    }
+    for (action, decompose_generator), gates in want.items():
+        circuits = estimators.build_ancilla_circuit(c, theta, 1, 1j * pauli.word_matrix("ZZ"),
+                                                    action, decompose_generator)
+        assert [anc.base.gates for anc in circuits] == [gates]
 
 
 def test_controlled_word_gate_matrix():
@@ -127,11 +160,99 @@ def test_per_term_expectations_real(rng):
     theta = rng.uniform(0, 2 * np.pi, 2)
     psi0 = random_state(2, rng)
     circuits = estimators.build_ancilla_circuit(c, theta, 0, random_skew(4, rng), "left")
-    start = np.kron(estimators.PLUS, psi0)
     for anc in circuits:
-        phi = circuit.apply(anc.base, [], start)
-        val = np.vdot(phi, pauli.to_matrix(anc.observable) @ phi)
-        assert abs(val.imag) < 1e-12
+        assert abs(ancilla_expectation(anc, psi0).imag) < 1e-12
+
+
+def check_branch_form(c, theta, psi0, z, action, decompose_generator):
+    """Branch-form omega and every per-word term against the (n+1)-qubit
+    simulation of the matching ancilla circuit, for every parameter."""
+    for j in range(c.n_params):
+        chi, terms = estimators.hadamard_terms(c, theta, j, z, psi0, action, decompose_generator)
+        circuits = estimators.build_ancilla_circuit(c, theta, j, z, action, decompose_generator)
+        assert np.array_equal(chi, [anc.chi for anc in circuits])
+        want = [ancilla_expectation(anc, psi0).real for anc in circuits]
+        assert np.max(np.abs(terms - want), initial=0.0) < 1e-12
+        got = estimators.hadamard_omega(c, theta, j, z, psi0, action, decompose_generator)
+        want = ancilla_omega(c, theta, j, z, psi0, action, decompose_generator)
+        assert abs(got - want) < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 3), p=st.integers(1, 3),
+       n_fixed=st.integers(0, 2), action=st.sampled_from(["theta", "left"]),
+       decompose_generator=st.booleans())
+def test_branch_form_matches_ancilla_oracle(seed, n, p, n_fixed, action, decompose_generator):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(n, p, rng, n_fixed=n_fixed)
+    check_branch_form(c, rng.uniform(0, 2 * np.pi, p), random_state(n, rng),
+                      random_skew(2**n, rng), action, decompose_generator)
+
+
+def test_branch_form_identity_words_edge_gates_and_descending_wires(rng):
+    # trainable gates first and last; 2-wire gates on descending wires, one
+    # of them with an identity component, so that decomposing either
+    # operator gives the identity word (no controlled gate)
+    c = circuit.CircuitSpec(3, (
+        circuit.rotation("Y", (1,), param=0),
+        circuit.rotation("XZ", (2, 0), angle=0.9),
+        circuit.Gate(pauli.parse_pauli_sum("0.3*II + 0.5*YX", 2), (1, 0), param=1),
+        circuit.rotation("ZY", (2, 1), param=2),
+    ), 3)
+    z = random_skew(8, rng) + 0.7j * np.eye(8)
+    kappa = circuit.embed_operator(circuit.gate_skew_generator(c.gates[2]), (1, 0), 3)
+    for operator in (z, kappa):
+        assert "III" in [w for _, w in pauli.unitary_decomposition(operator).terms]
+    assert estimators._controlled_word_gate("III") is None
+    theta = rng.uniform(0, 2 * np.pi, 3)
+    for action in ("theta", "left"):
+        for decompose_generator in (False, True):
+            check_branch_form(c, theta, random_state(3, rng), z, action, decompose_generator)
+
+
+ZI, ZII = 1j * pauli.word_matrix("ZI"), 1j * pauli.word_matrix("ZII")
+PSI_2Q, PSI_3Q = circuit.basis_state("00"), circuit.basis_state("000")
+ZZ_OBS = pauli.parse_pauli_sum("ZZ", 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: estimators.hadamard_omega(c, [0.3, 0.4], 0, ZII, PSI_2Q, "left"),
+     r"z_b has shape \(8, 8\), expected \(4, 4\)"),
+    (lambda c: estimators.hadamard_omega(c, [0.3, 0.4], 0, ZI, PSI_3Q, "left"),
+     r"psi0 has shape \(8,\), expected \(4,\)"),
+    (lambda c: estimators.build_ancilla_circuit(c, [0.3, 0.4], 0, ZII, "theta"),
+     r"z_b has shape \(8, 8\), expected \(4, 4\)"),
+    (lambda c: estimators.insertion_m(c, [0.3, 0.4], PSI_2Q, ZZ_OBS, ZII, "left"),
+     r"z_a has shape \(8, 8\), expected \(4, 4\)"),
+    (lambda c: estimators.insertion_m(c, [0.3, 0.4], PSI_3Q, ZZ_OBS, ZI, "theta"),
+     r"psi0 has shape \(8,\), expected \(4,\)"),
+], ids=["hadamard_omega-z_b", "hadamard_omega-psi0", "build_ancilla_circuit-z_b",
+        "insertion_m-z_a", "insertion_m-psi0"])
+def test_operand_from_another_register_rejected(call, message):
+    c = random_circuit(2, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=message):
+        call(c)
+
+
+def test_insertion_m_matches_one_exponential_per_step(rng):
+    """One eigh of z_a serves both steps and gives, bit for bit, the
+    difference of two separately exponentiated insertions."""
+    for action in ("theta", "left"):
+        c = random_circuit(2, 3, rng)
+        theta = rng.uniform(0, 2 * np.pi, 3)
+        psi0 = random_state(2, rng)
+        obs = random_observable(2, rng)
+        z = random_skew(4, rng)
+
+        def value(t):
+            if action == "theta":
+                psi = circuit.apply(c, theta, expm_skew(z, t) @ psi0)
+            else:
+                psi = expm_skew(z, t) @ circuit.apply(c, theta, psi0)
+            return float(np.real(np.vdot(psi, pauli.to_matrix(obs) @ psi)))
+
+        want = (value(1e-5) - value(-1e-5)) / 2e-5
+        assert estimators.insertion_m(c, theta, psi0, obs, z, action) == want
 
 
 def test_insertion_m_commuting_observable(rng):

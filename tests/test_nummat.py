@@ -48,6 +48,15 @@ def test_expm_skew_unitary_many(rng):
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
 
+def test_expm_skew_stack_of_scales_is_bitwise_the_single_scales(rng):
+    x = random_skew(8, rng)
+    scales = np.array([1e-5, -1e-5, 0.7])
+    stack = nummat.expm_skew(x, scales)
+    assert stack.shape == (3, 8, 8)
+    for u, t in zip(stack, scales):
+        assert np.array_equal(u, nummat.expm_skew(x, t))
+
+
 def test_expm_skew_rejects_non_skew():
     with pytest.raises(nummat.ContractViolation):
         nummat.expm_skew(np.eye(2))
