@@ -5,7 +5,8 @@ implements exp(i * scale * angle * H) for a Hermitian Pauli-sum generator
 H on its wires (scale defaults to -1, so standard rotations use H = P/2
 and a global phase gate uses H = -I).  Effective generators, state and
 cost partial derivatives, and the circuit's dynamical Lie algebra are
-derived from the same model.
+derived from the same model.  :func:`apply_gates` carries states between
+any two gate positions; the symmetry acts at one (:func:`action_point`).
 
 The evaluation core is :func:`evaluate`: one pass over the gates carries
 psi, every partial d_j psi and the symmetry tangents as one batch of
@@ -103,9 +104,12 @@ def check_theta(c: CircuitSpec, theta) -> np.ndarray:
     return theta
 
 
-def check_action(action: str) -> None:
+def action_point(c: CircuitSpec, action: str) -> int:
+    """Gate position where the symmetry acts: 0 (the input state) under
+    ``theta``, len(c.gates) (the output state) under ``left``."""
     if action not in ("left", "theta"):
         raise ValueError(f"action must be 'left' or 'theta', got {action!r}")
+    return 0 if action == "theta" else len(c.gates)
 
 
 def gate_angle(g: Gate, theta: np.ndarray) -> float:
@@ -183,14 +187,25 @@ def _check_states(c: CircuitSpec, states) -> np.ndarray:
     return psi
 
 
+def segment(c: CircuitSpec, start: int, stop: int) -> list[tuple[Gate, bool]]:
+    """The gates that carry a state from gate position start to stop, each
+    with whether it is undone: gates[stop:start] reversed if stop < start."""
+    if not 0 <= min(start, stop) <= max(start, stop) <= len(c.gates):
+        raise ValueError(f"gate positions {start}, {stop} outside 0..{len(c.gates)}")
+    if stop < start:
+        return [(g, True) for g in reversed(c.gates[stop:start])]
+    return [(g, False) for g in c.gates[start:stop]]
+
+
 def apply_gates(c: CircuitSpec, theta, psi0: Statevector, start: int = 0,
                 stop: int | None = None) -> Statevector:
-    """Apply gates[start:stop] to a state or a (B, d) batch of states."""
+    """Carry a state or a (B, d) batch of states from gate position start to
+    stop (default: the end), backwards when stop < start."""
     theta = check_theta(c, theta)
     psi = _check_states(c, psi0)
-    stop = len(c.gates) if stop is None else stop
-    for g in c.gates[start:stop]:
-        psi = apply_local(psi, gate_unitary(g, theta), g.wires, c.n_qubits)
+    for g, undone in segment(c, start, len(c.gates) if stop is None else stop):
+        u = gate_unitary(g, theta)
+        psi = apply_local(psi, u.conj().T if undone else u, g.wires, c.n_qubits)
     return psi
 
 
@@ -215,18 +230,17 @@ def _gate_index(c: CircuitSpec, j: int) -> int:
 
 def effective_generator(c: CircuitSpec, theta, j: int, side: str = "right") -> np.ndarray:
     """Skew-Hermitian generator of the parameter-j direction of change,
-    pulled to the right (U^dag dU) or left ((dU) U^dag) of the circuit."""
-    theta = check_theta(c, theta)
+    pulled to the right (U^dag dU) or left ((dU) U^dag) of the circuit: its
+    columns are the basis states carried from that end to the gate, hit by
+    kappa and carried back."""
+    ends = {"right": 0, "left": len(c.gates)}
+    if side not in ends:
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     k = _gate_index(c, j)
     g = c.gates[k]
-    kappa = embed_operator(gate_skew_generator(g), g.wires, c.n_qubits)
-    if side == "right":
-        u_pre = build_unitary(CircuitSpec(c.n_qubits, c.gates[:k], c.n_params), theta)
-        return u_pre.conj().T @ kappa @ u_pre
-    if side == "left":
-        u_post = build_unitary(CircuitSpec(c.n_qubits, c.gates[k:], c.n_params), theta)
-        return u_post @ kappa @ u_post.conj().T
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    rows = apply_gates(c, theta, np.eye(c.dim, dtype=complex), ends[side], k)
+    rows = apply_local(rows, gate_skew_generator(g), g.wires, c.n_qubits)
+    return apply_gates(c, theta, rows, k, ends[side]).T
 
 
 def state_partial(c: CircuitSpec, theta, j: int, psi0: Statevector) -> Statevector:
@@ -266,6 +280,13 @@ class TangentFrame:
         """G^+ under the frame's rank cut."""
         return self.coeffs.T @ self.coeffs
 
+    @property
+    def cond(self) -> float:
+        """Largest over smallest kept singular value of the embedded raw
+        tangents (1.0 at rank 0): row i of coeffs has norm 1 / s_i."""
+        norms = np.linalg.norm(self.coeffs, axis=1)
+        return float(norms.max() / norms.min()) if self.rank else 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class Evaluation:
@@ -294,7 +315,7 @@ def evaluate(c: CircuitSpec, theta, psi0: Statevector, generators=(),
     its own gate, the row is exactly d_j psi once the pass ends.  Under
     the ``left`` action the tangents are z_b psi at the output state.
     """
-    check_action(action)
+    action_point(c, action)  # rejects an unknown action
     theta = check_theta(c, theta)
     psi0 = _check_states(c, psi0).reshape(c.dim)
     z = np.asarray(generators, dtype=complex)

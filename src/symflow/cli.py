@@ -111,7 +111,9 @@ def _finite(value, name: str) -> float:
 
 def _parse_gate(entry: dict) -> circuit.Gate:
     try:
-        wires = tuple(int(w) for w in entry["wires"])
+        wires = tuple(entry["wires"])
+        if not all(_is_int(w) for w in wires):
+            raise SpecError(f"wires must be JSON integers, got {entry['wires']!r}")
         if not isinstance(entry["h"], str):
             raise SpecError(f"h must be a Pauli-sum string, got {entry['h']!r}")
         gen = pauli.parse_pauli_sum(entry["h"], len(wires))
@@ -145,8 +147,12 @@ def problem_from_dict(data: dict) -> Problem:
         cdata = data["circuit"]
         if not isinstance(cdata, dict):
             raise SpecError(f"bad circuit block {cdata!r}: expected an object")
-        gates = tuple(_parse_gate(g) for g in cdata.get("gates", []))
-        c = circuit.CircuitSpec(int(cdata["n_qubits"]), gates, int(cdata["n_params"]))
+        n, p, cap = cdata["n_qubits"], cdata["n_params"], circuit.DENSE_QUBIT_CAP
+        if not (_is_int(n) and 1 <= n <= cap):
+            raise SpecError(f"n_qubits must be an integer in 1..{cap}, got {n!r}")
+        if not (_is_int(p) and p >= 0):
+            raise SpecError(f"n_params must be an integer >= 0, got {p!r}")
+        c = circuit.CircuitSpec(n, tuple(_parse_gate(g) for g in cdata.get("gates", [])), p)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SpecError):
             raise

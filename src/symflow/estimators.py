@@ -10,7 +10,7 @@ variant decomposes the gate generator instead and measures the symmetry
 generator.  The circuits are simulated in branch form: after the
 controlled word the state is (|0> a + |1> b_l) / sqrt 2, so
 <X (x) B>_l = Re <a|B|b_l>, and one batch of n-qubit rows carries a and
-every b_l through the gates after the control point.
+every b_l from the control point to the measurement point.
 
 The symmetry derivatives m_a are estimated as central finite differences
 of the cost with exp(z_a t) inserted at the action point.
@@ -62,22 +62,16 @@ def _operand(x, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _plan(c: circuit.CircuitSpec, theta, j: int, z_b, action: str, decompose_generator: bool):
     """Checked theta and z_b, the gate of parameter j, the decomposed operator,
-    and the gates before and after the controlled word as (gate, inverted)."""
+    and the gate positions of the controlled word and of the measurement:
+    the action point and gate j, exchanged with ``decompose_generator``."""
     theta = circuit.check_theta(c, theta)
     z_b = require_skew_hermitian(_operand(z_b, (c.dim, c.dim), "z_b"), name="symmetry generator")
-    circuit.check_action(action)
-    k = circuit._gate_index(c, j)
-    gate, forward = c.gates[k], [(g, False) for g in c.gates]
-    if decompose_generator:
-        decomposition = pauli.unitary_decomposition(
-            circuit.embed_operator(circuit.gate_skew_generator(gate), gate.wires, c.n_qubits))
-        undo_prefix = [(g, True) for g in reversed(c.gates[:k])]
-        parts = forward[:k], undo_prefix if action == "theta" else forward[k:]
-    else:
-        decomposition = pauli.unitary_decomposition(z_b)
-        undo_suffix = [(g, True) for g in reversed(c.gates[k:])]
-        parts = ([], forward[:k]) if action == "theta" else (forward, undo_suffix)
-    return theta, z_b, gate, decomposition, parts
+    point, k = circuit.action_point(c, action), circuit._gate_index(c, j)
+    gate = c.gates[k]
+    if not decompose_generator:
+        return theta, z_b, gate, pauli.unitary_decomposition(z_b), (point, k)
+    kappa = circuit.embed_operator(circuit.gate_skew_generator(gate), gate.wires, c.n_qubits)
+    return theta, z_b, gate, pauli.unitary_decomposition(kappa), (k, point)
 
 
 def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: str,
@@ -85,13 +79,14 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
     """One fixed-angle ancilla circuit per unitary term of the decomposed
     operator.  By default z_b is decomposed and the gate generator is
     measured; with ``decompose_generator`` the roles are exchanged."""
-    theta, z_b, gate, decomposition, parts = _plan(c, theta, j, z_b, action, decompose_generator)
+    theta, z_b, gate, decomposition, points = _plan(c, theta, j, z_b, action, decompose_generator)
     if decompose_generator:
         system_obs = pauli.pauli_decompose(1j * z_b)
     else:
         system_obs = pauli.embed(gate.generator, gate.wires, c.n_qubits) * (-gate.scale)
     observable = pauli.pauli_sum(c.n_qubits + 1, {"X" + w: v for w, v in system_obs.terms})
-    before, after = (tuple(_shift_gate(g, theta, inv) for g, inv in part) for part in parts)
+    before, after = (tuple(_shift_gate(g, theta, inv) for g, inv in circuit.segment(c, *ends))
+                     for ends in ((0, points[0]), points))
     out = []
     for chi, word in decomposition.terms:
         ctrl = _controlled_word_gate(word)
@@ -100,29 +95,21 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
     return out
 
 
-def _run(part, theta: np.ndarray, states: np.ndarray, n: int) -> np.ndarray:
-    for g, inverted in part:
-        u = circuit.gate_unitary(g, theta)
-        states = circuit.apply_local(states, u.conj().T if inverted else u, g.wires, n)
-    return states
-
-
 def hadamard_terms(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str,
                    decompose_generator: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """chi_l and <X (x) B>_l = Re <a|B|b_l> for the circuits of
     :func:`build_ancilla_circuit`, in its order, in branch form."""
     psi0 = _operand(psi0, (c.dim,), "psi0")
-    theta, z_b, gate, decomposition, (before, after) = _plan(c, theta, j, z_b, action,
-                                                             decompose_generator)
-    n = c.n_qubits
-    x = _run(before, theta, psi0, n)
-    rows = _run(after, theta, np.stack([x] + [pauli.word_matrix(w) @ x
-                                              for _, w in decomposition.terms]), n)
+    theta, z_b, gate, decomposition, (control, measure) = _plan(c, theta, j, z_b, action,
+                                                                decompose_generator)
+    x = circuit.apply_gates(c, theta, psi0, 0, control)
+    words = [pauli.word_matrix(w) @ x for _, w in decomposition.terms]
+    rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
     if decompose_generator:
         b_on_a = 1j * (z_b @ rows[0])
     else:
         b_mat = -gate.scale * circuit.generator_matrix(gate.generator)
-        b_on_a = circuit.apply_local(rows[0], b_mat, gate.wires, n)
+        b_on_a = circuit.apply_local(rows[0], b_mat, gate.wires, c.n_qubits)
     chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
     return chi, np.real(rows[1:] @ b_on_a.conj())
 
@@ -140,13 +127,11 @@ def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
     of the cost with exp(z_a t) inserted at the action point."""
     psi0 = _operand(psi0, (c.dim,), "psi0")
     z_a = require_skew_hermitian(_operand(z_a, (c.dim, c.dim), "z_a"), name="symmetry generator")
-    circuit.check_action(action)
+    point = circuit.action_point(c, action)
     m_mat = pauli.to_matrix(m)
     steps = expm_skew(z_a, np.array([1e-5, -1e-5]))  # one eigh for both steps
-    if action == "theta":
-        psis = [circuit.apply(c, theta, u @ psi0) for u in steps]
-    else:
-        psi = circuit.apply(c, theta, psi0)
-        psis = [u @ psi for u in steps]
+    x = circuit.apply_gates(c, theta, psi0, 0, point)
+    # one pass per step after the point: a (2, d) batch would round m differently
+    psis = [circuit.apply_gates(c, theta, u @ x, point) for u in steps]
     plus, minus = (float(np.real(np.vdot(psi, m_mat @ psi))) for psi in psis)
     return (plus - minus) / 2e-5

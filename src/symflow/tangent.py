@@ -3,11 +3,11 @@ under the two symmetry actions, the orthogonal four-way decomposition of
 the unitary tangent space at a state, and the split of u(d) induced by
 pulling the horizontal subspace back through the action.
 
-The two actions differ in where the symmetry generator is inserted:
-``theta`` acts at the initial state (before the circuit), ``left`` at the
-output state (after the circuit).  Tangent vectors live in the real
-vector space spanned by x|psi> for skew-Hermitian x, with inner product
-Re<a|b>; internally they are embedded into R^{2d} (``nummat.embed_real``).
+The two actions insert the symmetry generator at different gate positions
+(``circuit.action_point``): ``theta`` at the initial state, ``left`` at
+the output state.  Tangent vectors live in the real vector space spanned
+by x|psi> for skew-Hermitian x, with inner product Re<a|b>; internally
+they are embedded into R^{2d} (``nummat.embed_real``).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ class SymmetrySpec:
     action: str  # "left" or "theta"
 
     def __post_init__(self):
-        circuit.check_action(self.action)
+        circuit.action_point(circuit.CircuitSpec(0), self.action)  # rejects an unknown action
         if not liealg.is_subalgebra(self.generators):
             raise ContractViolation("symmetry generators are not bracket-closed")
 
@@ -80,6 +80,16 @@ def equivariant_frame(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) ->
     return evaluate(sym, c, theta, psi0, "equivariant").frame
 
 
+def _action_tangents(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0, *stacks):
+    """psi and, for each stack of algebra elements x, the action tangents
+    of x as rows, from one batched pass: the rows x phi join the state phi
+    at the action point, and every later gate acts on the whole batch."""
+    point = circuit.action_point(c, sym.action)
+    phi = circuit.apply_gates(c, theta, psi0, 0, point)
+    rows = circuit.apply_gates(c, theta, np.vstack([phi, *(x @ phi for x in stacks)]), point)
+    return rows[0], *np.split(rows[1:], np.cumsum([len(x) for x in stacks])[:-1])
+
+
 def state_tangent_rows(psi) -> np.ndarray:
     """Orthonormal rows spanning the unitary tangent space at a state,
     embedded in R^{2d}; this is the real orthocomplement of psi itself."""
@@ -97,11 +107,11 @@ def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     """Orthogonal four-way split of the unitary tangent space at the state.
 
     Each part is a nullspace of a small row product of the vertical and
-    equivariant spans, read from the embedded frames' ``onb`` rows."""
-    vertical = evaluate(sym, c, theta, psi0)
-    t_rows = state_tangent_rows(vertical.psi)
-    v_rows = embed_real(vertical.frame.onb)
-    e_rows = embed_real(equivariant_frame(sym, c, theta, psi0).onb)
+    equivariant spans, whose tangents come from one pass."""
+    psi, vertical, equivariant = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
+                                                  sym.commutant.basis)
+    t_rows = state_tangent_rows(psi)
+    v_rows, e_rows = (orthonormal_rows(embed_real(x)) for x in (vertical, equivariant))
     h_rows = complement_rows(t_rows, v_rows)
 
     # the equivariant tangents lie in the tangent space, split as v + h
@@ -115,16 +125,6 @@ def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     return StateFourDecomposition(*parts, residual_dim=residual)
 
 
-def _action_matrix(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
-                   psi0: np.ndarray) -> np.ndarray:
-    """Real (2d, d*d) matrix whose column a is the embedded action tangent
-    of basis element a; the tangent of a coordinate row r is this @ r."""
-    basis = liealg.skew_basis(c.dim)
-    if sym.action == "theta":
-        return embed_real((basis @ psi0) @ circuit.build_unitary(c, theta).T).T
-    return embed_real(basis @ circuit.apply(c, theta, psi0)).T
-
-
 def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                           psi0) -> tuple[liealg.Subspace, liealg.Subspace]:
     """Split u(d) by pulling the vertical/horizontal decomposition of the
@@ -136,14 +136,15 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     orthogonal complement under the trace inner product.  Zero-tangent
     directions outside the symmetry algebra therefore count as vertical
     when they are shadowed by a genuine symmetry tangent, while trivially
-    acting symmetry generators never do.  The vertical span is read from
-    the embedded frame's ``onb`` rows, as in :func:`state_four_decomposition`.
+    acting symmetry generators never do.  One pass gives the vertical
+    tangents and the real (2d, d*d) matrix ``action`` whose column a is the
+    embedded action tangent of basis element a of u(d).
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    d = c.dim
-    v_rows = embed_real(vertical_frame(sym, c, theta, psi0).onb)
+    _, vertical, tangents = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
+                                             liealg.skew_basis(c.dim))
+    v_rows = orthonormal_rows(embed_real(vertical))
     p_v = v_rows.T @ v_rows
-    action = _action_matrix(sym, c, theta, psi0)
+    action = embed_real(tangents).T
 
     # symmetry directions acting nontrivially: t minus its stabilizer part
     # (an empty nullspace has shape (0, k), so these products stay well shaped)
@@ -162,6 +163,6 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
         inter_rows = nullspace_real(kernel_rows @ inter_rows.T) @ inter_rows
 
     perp_rows = orthonormal_rows(np.vstack([active_t, inter_rows]))
-    u_perp = liealg.subspace_from_rows(perp_rows, d)
-    u_par = liealg.subspace_from_rows(nullspace_real(perp_rows), d)
+    u_perp = liealg.subspace_from_rows(perp_rows, c.dim)
+    u_par = liealg.subspace_from_rows(nullspace_real(perp_rows), c.dim)
     return u_par, u_perp

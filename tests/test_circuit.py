@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symflow import circuit, estimators, liealg, pauli, tangent
 from conftest import (
@@ -87,6 +88,44 @@ def test_apply_preserves_norm(rng):
     theta = rng.uniform(0, 2 * np.pi, 4)
     psi = circuit.apply(c, theta, random_state(3, rng))
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 3), p=st.integers(0, 4),
+       n_fixed=st.integers(0, 2), batch=st.integers(0, 3))
+def test_apply_gates_carries_between_any_two_positions(seed, n, p, n_fixed, batch):
+    """Forward to k and back to 0 returns the state; k to k is the identity;
+    a backward segment is its forward gates reversed, each inverted."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(n, p, rng, n_fixed=n_fixed)
+    theta = rng.uniform(0, 2 * np.pi, p)
+    psi = np.stack([random_state(n, rng) for _ in range(batch)]) if batch else random_state(n, rng)
+    g = len(c.gates)
+    k = int(rng.integers(0, g + 1))
+    there = circuit.apply_gates(c, theta, psi, 0, k)
+    assert np.max(np.abs(circuit.apply_gates(c, theta, there, k, 0) - psi)) < 1e-12
+    assert np.array_equal(circuit.apply_gates(c, theta, psi, k, k), psi)
+    lo, hi = sorted(int(x) for x in rng.integers(0, g + 1, 2))
+    inverse = circuit.CircuitSpec(n, tuple(
+        circuit.Gate(gate.generator, gate.wires, angle=circuit.gate_angle(gate, theta),
+                     scale=-gate.scale) for gate in reversed(c.gates[lo:hi])), 0)
+    back = circuit.apply_gates(c, theta, psi, hi, lo)
+    assert np.max(np.abs(back - circuit.apply(inverse, [], psi))) < 1e-12
+    assert np.max(np.abs(circuit.apply_gates(c, theta, back, lo, hi) - psi)) < 1e-12
+
+
+def test_apply_gates_rejects_positions_outside_the_circuit(rng):
+    c = random_circuit(2, 2, rng)
+    psi = random_state(2, rng)
+    for start, stop in [(-1, 2), (0, 4), (4, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="gate positions"):
+            circuit.apply_gates(c, [0.1, 0.2], psi, start, stop)
+
+
+def test_action_point_is_a_gate_position(rng):
+    c = random_circuit(2, 3, rng)
+    assert circuit.action_point(c, "theta") == 0
+    assert circuit.action_point(c, "left") == len(c.gates) == 4
 
 
 def test_effective_generators_single_qubit_example(rng):

@@ -311,6 +311,19 @@ MALFORMED = {
     "generators-int-list": ("symmetry", lambda d: d.update(symmetry={"generators": [5]})),
     "circuit-list": ("circuit", lambda d: d.update(circuit=[])),
     "h-int": ("h must be", lambda d: d["circuit"]["gates"][0].update(h=5)),
+    "n_qubits-float": ("n_qubits must be", lambda d: d["circuit"].update(n_qubits=1.5)),
+    "n_qubits-integral-float": ("n_qubits must be", lambda d: d["circuit"].update(n_qubits=1.0)),
+    "n_qubits-bool": ("n_qubits must be", lambda d: d["circuit"].update(n_qubits=True)),
+    "n_qubits-str": ("n_qubits must be", lambda d: d["circuit"].update(n_qubits="1")),
+    "n_qubits-zero": ("n_qubits must be", lambda d: d["circuit"].update(n_qubits=0)),
+    "n_qubits-above-cap": ("n_qubits must be", lambda d: d["circuit"].update(n_qubits=11)),
+    "n_params-float": ("n_params must be", lambda d: d["circuit"].update(n_params=1.0)),
+    "n_params-bool": ("n_params must be", lambda d: d["circuit"].update(n_params=True)),
+    "n_params-str": ("n_params must be", lambda d: d["circuit"].update(n_params="1")),
+    "n_params-negative": ("n_params must be", lambda d: d["circuit"].update(n_params=-1)),
+    "wires-float": ("wires must be", lambda d: d["circuit"]["gates"][0].update(wires=[0.0])),
+    "wires-bool": ("wires must be", lambda d: d["circuit"]["gates"][0].update(wires=[False])),
+    "wires-str": ("wires must be", lambda d: d["circuit"]["gates"][0].update(wires=["0"])),
 }
 
 
@@ -326,6 +339,15 @@ def test_grad_malformed_input_exit_2(tmp_path, capsys, field, edit):
     edit(data)
     assert cli.main(["grad", write_spec(tmp_path, data)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_forty_qubit_file_exit_2(tmp_path, capsys):
+    """The qubit count is checked against the dense cap before any
+    2^n-sized array is built."""
+    spec = write_spec(tmp_path, {"circuit": {"n_qubits": 40, "n_params": 0, "gates": []},
+                                 "initial_state": "0" * 40, "observable": "Z" * 40})
+    assert cli.main(["grad", spec]) == 2
+    assert "n_qubits must be an integer in 1..10, got 40" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0", "1"])

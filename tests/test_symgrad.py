@@ -424,6 +424,23 @@ def test_equivariant_cost_near_the_rank_cut(eps):
     assert abs(want[0]) > 0.5 * eps  # the oracle sees the short directions
 
 
+def test_frame_condition_near_the_rank_cut():
+    """At eps = 1e-7 the commutant frame keeps five directions, the
+    shortest about 1.26e7 times shorter than the longest; ``cond`` reads
+    that ratio from the frame's coefficients, without a second SVD."""
+    c, theta, _ = _near_cut_example(1e-7)
+    sym = tangent.SymmetrySpec(liealg.subspace(4, [1j * pauli.to_matrix(
+        pauli.parse_pauli_sum("ZI + IZ", 2)) / np.sqrt(2)]), "left")
+    frame = tangent.equivariant_frame(sym, c, theta, circuit.basis_state("00"))
+    svals = np.linalg.svd(nummat.embed_real(frame.raw), compute_uv=False)
+    assert frame.rank == 5
+    assert frame.cond == pytest.approx(svals[0] / svals[4], rel=1e-9)
+    assert frame.cond == pytest.approx(1.26e7, rel=1e-2)
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)  # fixed by U (x) U: a rank-0 frame
+    sym_su2 = tangent.SymmetrySpec(su2_tensor_subspace(), "left")
+    assert tangent.vertical_frame(sym_su2, circuit.CircuitSpec(2, (), 0), [], singlet).cond == 1.0
+
+
 def test_covariant_derivative_is_equivariant_map(rng):
     # applying a symmetry transformation to the parametrized state commutes
     # with taking the covariant state derivative (left action)

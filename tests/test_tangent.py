@@ -271,6 +271,21 @@ def test_induced_split_su2_at_01():
     assert u_par.dim == 14
 
 
+@pytest.mark.parametrize("action", ["theta", "left"])
+@pytest.mark.parametrize("split", [tangent.state_four_decomposition, tangent.induced_algebra_split])
+def test_split_takes_one_pass(split, action, rng, monkeypatch):
+    """Each split carries psi and its action tangents in one batched pass:
+    one gate application per gate, and no evaluation sweep."""
+    c = random_circuit(2, 3, rng, n_fixed=2)
+    sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
+    sym.commutant  # solved before counting; it applies no gates
+    apply_local, calls = circuit.apply_local, []
+    monkeypatch.setattr(circuit, "apply_local", lambda *a: calls.append(1) or apply_local(*a))
+    monkeypatch.setattr(circuit, "evaluate", lambda *a, **k: pytest.fail("evaluate called"))
+    split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
+    assert len(calls) == len(c.gates) == 5
+
+
 def test_induced_split_su2_at_singlet():
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), "theta")
     u_par, u_perp = tangent.induced_algebra_split(sym, ID2, [], singlet())
