@@ -169,15 +169,9 @@ def apply_local(state: Statevector, mat: np.ndarray, wires, n: int) -> Statevect
 
 
 def embed_operator(mat: np.ndarray, wires, n: int) -> np.ndarray:
-    """Promote a local operator to the full 2^n-dimensional register."""
-    wires = list(wires)
-    k = len(wires)
-    rest = [q for q in range(n) if q not in wires]
-    full = np.kron(mat, np.eye(2 ** (n - k), dtype=complex))
-    tensor = full.reshape([2] * (2 * n))
-    perm = list(np.argsort(wires + rest))
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return tensor.reshape(2**n, 2**n)
+    """Promote a local operator to the full 2^n-dimensional register: its
+    rows are the operator applied to every basis state."""
+    return apply_local(np.eye(2**n, dtype=complex), mat, wires, n).T
 
 
 def _check_states(c: CircuitSpec, states) -> np.ndarray:

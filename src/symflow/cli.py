@@ -71,13 +71,10 @@ def resolve_initial_state(spec, n_qubits: int, seed_override: int | None = None)
         pair = isinstance(entry, (list, tuple))
         if pair and len(entry) != 2:
             raise SpecError(f"amplitude entry {entry!r} is not a [re, im] pair")
-        try:
-            amps.append(entry[0] + 1j * entry[1] if pair else complex(entry))
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"bad initial_state amplitude {entry!r}: {exc}") from exc
+        real, imag = entry if pair else (entry, 0.0)
+        amps.append(complex(_finite(real, "initial_state amplitude"),
+                            _finite(imag, "initial_state amplitude")))
     psi = np.asarray(amps, dtype=complex)
-    if not np.all(np.isfinite(psi)):
-        raise SpecError("initial_state amplitudes must be finite")
     if psi.shape != (2**n_qubits,):
         raise SpecError(f"state has {psi.size} amplitudes, expected {2 ** n_qubits}")
     norm = np.linalg.norm(psi)
@@ -100,10 +97,11 @@ def symmetry_from_strings(strings, action: str, n_qubits: int) -> SymmetrySpec:
 
 
 def _finite(value, name: str) -> float:
+    """A finite JSON number (int or float, not bool) as a float."""
     try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = float("nan")
+        x = float(value) if _is_number(value) else float("nan")
+    except OverflowError:  # an int beyond the float range
+        x = float("inf")
     if not np.isfinite(x):
         raise SpecError(f"{name} must be a finite number, got {value!r}")
     return x
@@ -208,6 +206,10 @@ def problem_from_dict(data: dict) -> Problem:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def check_optimizer(cfg: OptimizerConfig) -> None:

@@ -14,7 +14,6 @@ no basis array.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -193,52 +192,37 @@ def _ad_matrix(ys: np.ndarray, d: int) -> np.ndarray:
 def commutant(sub: Subspace) -> Subspace:
     """All of u(d) commuting with every basis element of the subspace."""
     d = sub.dim_ambient
-    if sub.dim == 0:
-        return full_space(d)
     return subspace_from_rows(nullspace_real(_ad_matrix(sub.basis, d)), d)
 
 
-def _brackets(sub: Subspace):
-    """Per chunk of the basis brackets [b_a, b_c], a few a at a time against
-    the stacked basis (about BRACKET_CHUNK complex entries, so the full
-    dim**2 x d**2 array never exists): whether they stay in the span, to
-    ``SUBALGEBRA_TOL`` relative to their size, and their span components
-    f[a, c, b] = <b_b, [b_a, b_c]>, shape (k, dim, dim)."""
+def is_subalgebra(sub: Subspace) -> bool:
+    """Whether every pairwise bracket of basis elements stays in the span,
+    to ``SUBALGEBRA_TOL`` relative to its size.  A few basis elements at a
+    time are bracketed against the stacked basis (about BRACKET_CHUNK
+    complex entries), so the full dim**2 x d**2 array never exists."""
     d, mats = sub.dim_ambient, sub.basis
     step = max(1, BRACKET_CHUNK // max(1, sub.dim * d * d))
     for start in range(0, sub.dim, step):
         y = mats[start:start + step, None]
         comm = coords(y @ mats - mats @ y, d)
-        f = comm @ sub.rows.T
         scale = np.maximum(1.0, np.linalg.norm(comm, axis=-1))
-        yield not np.any(np.linalg.norm(comm - f @ sub.rows, axis=-1) > SUBALGEBRA_TOL * scale), f
+        residual = comm - (comm @ sub.rows.T) @ sub.rows
+        if np.any(np.linalg.norm(residual, axis=-1) > SUBALGEBRA_TOL * scale):
+            return False
+    return True
 
 
-def is_subalgebra(sub: Subspace) -> bool:
-    """Whether every pairwise bracket of basis elements stays in the span."""
-    return all(closed for closed, _ in _brackets(sub))
-
-
-def _closure_and_center(sub: Subspace) -> tuple[bool, Subspace]:
-    """Whether the subspace is bracket-closed, and its center: one bracket pass."""
-    if sub.dim == 0:
-        return True, Subspace(sub.dim_ambient, ())
-    closed, f = zip(*_brackets(sub))
-    # sum_c x_c b_c is central iff sum_c x_c f[a, c, b] = 0 for every (a, b)
-    coeff_rows = nullspace_real(np.concatenate(f).transpose(0, 2, 1).reshape(-1, sub.dim))
-    return all(closed), subspace_from_rows(coeff_rows @ sub.rows, sub.dim_ambient)
+def _part_within(sub: Subspace, other: Subspace) -> Subspace:
+    """The elements of ``sub`` that lie in ``other``: the combinations of
+    sub's rows whose residuals off ``other`` cancel."""
+    residual = sub.rows - (sub.rows @ other.rows.T) @ other.rows
+    return subspace_from_rows(nullspace_real(residual.T) @ sub.rows, sub.dim_ambient)
 
 
 def center(sub: Subspace) -> Subspace:
-    """Elements of the subspace commuting with all of the subspace.
-
-    Works on the brackets' components in the span, which are the whole
-    brackets when the subspace is bracket-closed; otherwise it warns, and
-    the result only has brackets orthogonal to the subspace."""
-    closed, z = _closure_and_center(sub)
-    if not closed:
-        warnings.warn("center() called on a subspace that is not bracket-closed")
-    return z
+    """Elements of the subspace commuting with all of the subspace: its
+    intersection with its commutant, for any subspace."""
+    return _part_within(sub, commutant(sub))
 
 
 def complement_within(sub: Subspace, inner: Subspace) -> Subspace:
@@ -264,10 +248,13 @@ def four_decomposition(t: Subspace) -> FourDecomposition:
     """Split u(d) into the remainder, the centerless commutant, the center
     of the symmetry algebra, and the centerless symmetry algebra."""
     d = t.dim_ambient
-    closed, z = _closure_and_center(t)
-    if not closed:
+    if not is_subalgebra(t):
         raise ContractViolation("symmetry subspace is not closed under the bracket")
+    # the center z is the part of t in u_t; for a closed t, [t, t] is
+    # orthogonal to u_t, so the residuals of t's rows off u_t have singular
+    # values 0 (along z) or 1 and the cut cannot fall between them
     u_t = commutant(t)
+    z = _part_within(t, u_t)
     ut_centerless = complement_within(u_t, z)
     t_centerless = complement_within(t, z)
     r = subspace_from_rows(nullspace_real(np.vstack([u_t.rows, t.rows])), d)

@@ -81,13 +81,14 @@ def equivariant_frame(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) ->
 
 
 def _action_tangents(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0, *stacks):
-    """psi and, for each stack of algebra elements x, the action tangents
-    of x as rows, from one batched pass: the rows x phi join the state phi
-    at the action point, and every later gate acts on the whole batch."""
+    """The state phi at the action point, psi and, for each stack of algebra
+    elements x, the action tangents of x as rows, from one batched pass:
+    the rows x phi join phi at the action point, and every later gate acts
+    on the whole batch."""
     point = circuit.action_point(c, sym.action)
     phi = circuit.apply_gates(c, theta, psi0, 0, point)
     rows = circuit.apply_gates(c, theta, np.vstack([phi, *(x @ phi for x in stacks)]), point)
-    return rows[0], *np.split(rows[1:], np.cumsum([len(x) for x in stacks])[:-1])
+    return phi, rows[0], *np.split(rows[1:], np.cumsum([len(x) for x in stacks])[:-1])
 
 
 def state_tangent_rows(psi) -> np.ndarray:
@@ -108,8 +109,8 @@ def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
 
     Each part is a nullspace of a small row product of the vertical and
     equivariant spans, whose tangents come from one pass."""
-    psi, vertical, equivariant = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
-                                                  sym.commutant.basis)
+    _, psi, vertical, equivariant = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
+                                                     sym.commutant.basis)
     t_rows = state_tangent_rows(psi)
     v_rows, e_rows = (orthonormal_rows(embed_real(x)) for x in (vertical, equivariant))
     h_rows = complement_rows(t_rows, v_rows)
@@ -136,31 +137,31 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     orthogonal complement under the trace inner product.  Zero-tangent
     directions outside the symmetry algebra therefore count as vertical
     when they are shadowed by a genuine symmetry tangent, while trivially
-    acting symmetry generators never do.  One pass gives the vertical
-    tangents and the real (2d, d*d) matrix ``action`` whose column a is the
-    embedded action tangent of basis element a of u(d).
+    acting symmetry generators never do.  One pass gives the action
+    tangents of the symmetry basis and of an orthonormal basis of t + u_t.
     """
-    _, vertical, tangents = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
-                                             liealg.skew_basis(c.dim))
-    v_rows = orthonormal_rows(embed_real(vertical))
+    t_rows = sym.generators.rows
+    span_rows = orthonormal_rows(np.vstack([t_rows, sym.commutant.rows]))
+    phi, _, vertical, tangents = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
+                                                  liealg.from_coords(span_rows, c.dim))
+    v_emb = embed_real(vertical)
+    v_rows = orthonormal_rows(v_emb)
     p_v = v_rows.T @ v_rows
-    action = embed_real(tangents).T
 
     # symmetry directions acting nontrivially: t minus its stabilizer part
     # (an empty nullspace has shape (0, k), so these products stay well shaped)
-    t_rows = sym.generators.rows
-    t0_rows = nullspace_real(action @ t_rows.T) @ t_rows
+    t0_rows = nullspace_real(v_emb.T) @ t_rows
     active_t = t_rows - (t_rows @ t0_rows.T) @ t0_rows
 
     # symmetry-plus-commutant directions with vertical tangents ...
-    span_rows = orthonormal_rows(np.vstack([t_rows, sym.commutant.rows]))
-    cols = action @ span_rows.T
+    cols = embed_real(tangents).T
     inter_rows = nullspace_real(cols - p_v @ cols) @ span_rows  # horizontal component
 
-    # ... restricted to the part orthogonal to the full action kernel
-    kernel_rows = nullspace_real(action)
-    if inter_rows.shape[0] and kernel_rows.shape[0]:
-        inter_rows = nullspace_real(kernel_rows @ inter_rows.T) @ inter_rows
+    # ... restricted to the part orthogonal to the action kernel u(phi^perp),
+    # {x : x phi = 0}, whose orthogonal projection is x -> Q x Q
+    q = np.eye(c.dim) - np.outer(phi, phi.conj()) / np.vdot(phi, phi).real
+    kernel_part = liealg.coords(q @ liealg.from_coords(inter_rows, c.dim) @ q, c.dim)
+    inter_rows = nullspace_real(kernel_part.T) @ inter_rows
 
     perp_rows = orthonormal_rows(np.vstack([active_t, inter_rows]))
     u_perp = liealg.subspace_from_rows(perp_rows, c.dim)

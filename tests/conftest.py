@@ -202,6 +202,37 @@ def state_four_split_oracle(sym, c, theta, psi0) -> tuple[tuple[np.ndarray, ...]
     return (cov, both, equi, vert), near_equi or near_both or near_cov or near_vert
 
 
+def induced_split_oracle(sym, c, theta, psi0) -> tuple[liealg.Subspace, liealg.Subspace]:
+    """``tangent.induced_algebra_split`` through the real (2d, d*d) action
+    matrix, whose column a is the embedded action tangent of basis element
+    a of u(d): the stabilizer of t and the action kernel are its
+    nullspaces."""
+    from symflow.nummat import embed_real, nullspace_real, orthonormal_rows
+
+    theta = circuit.check_theta(c, theta)
+    point = circuit.action_point(c, sym.action)
+    phi = circuit.apply_gates(c, theta, psi0, 0, point)
+
+    def tangents(xs):  # embedded action tangents of a stack of x, as columns
+        return embed_real(circuit.apply_gates(c, theta, xs @ phi, point)).T
+
+    action = tangents(liealg.skew_basis(c.dim))
+    v_rows = orthonormal_rows(tangents(sym.generators.basis).T)
+    p_v = v_rows.T @ v_rows
+    t_rows = sym.generators.rows
+    t0_rows = nullspace_real(action @ t_rows.T) @ t_rows
+    active_t = t_rows - (t_rows @ t0_rows.T) @ t0_rows
+    span_rows = orthonormal_rows(np.vstack([t_rows, sym.commutant.rows]))
+    cols = action @ span_rows.T
+    inter_rows = nullspace_real(cols - p_v @ cols) @ span_rows
+    kernel_rows = nullspace_real(action)
+    if inter_rows.shape[0] and kernel_rows.shape[0]:
+        inter_rows = nullspace_real(kernel_rows @ inter_rows.T) @ inter_rows
+    perp_rows = orthonormal_rows(np.vstack([active_t, inter_rows]))
+    return (liealg.subspace_from_rows(nullspace_real(perp_rows), c.dim),
+            liealg.subspace_from_rows(perp_rows, c.dim))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

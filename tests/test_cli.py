@@ -273,6 +273,10 @@ def optimizer_spec(tmp_path, **fields):
     ("lr", "nan"),
     ("lr", 0.0),
     ("lr", None),
+    ("lr", True),
+    ("lr", "0.5"),
+    ("tol", False),
+    ("tol", "1e-9"),
 ])
 def test_optimize_bad_optimizer_field_exit_2(tmp_path, capsys, field, value):
     spec = optimizer_spec(tmp_path, **{field: value})
@@ -297,11 +301,19 @@ MALFORMED = {
     "angle-list": ("angle", lambda d: d["circuit"]["gates"][1].update(angle=[1])),
     "angle-nan": ("angle", lambda d: d["circuit"]["gates"][1].update(angle=NAN)),
     "scale-nan": ("scale", lambda d: d["circuit"]["gates"][1].update(scale=NAN)),
+    "angle-bool": ("angle", lambda d: d["circuit"]["gates"][1].update(angle=True)),
+    "angle-str": ("angle", lambda d: d["circuit"]["gates"][1].update(angle="2.5")),
+    "angle-huge-int": ("angle", lambda d: d["circuit"]["gates"][1].update(angle=10**400)),
+    "scale-bool": ("scale", lambda d: d["circuit"]["gates"][1].update(scale=True)),
+    "scale-str": ("scale", lambda d: d["circuit"]["gates"][1].update(scale="-1")),
     "coeff-inf": ("inf", lambda d: d["circuit"]["gates"][1].update(h="inf*Z")),
     "amp-nan": ("initial_state", lambda d: d.update(initial_state=[NAN, 1.0])),
     "amp-inf": ("initial_state", lambda d: d.update(initial_state=[INF, 1.0])),
     "amp-pair-nan": ("initial_state", lambda d: d.update(initial_state=[[1.0, NAN], [0.0, 0.0]])),
     "amp-pair-str": ("initial_state", lambda d: d.update(initial_state=[["a", 1.0], [0.0, 0.0]])),
+    "amp-bool": ("initial_state", lambda d: d.update(initial_state=[True, False])),
+    "amp-str": ("initial_state", lambda d: d.update(initial_state=["1", "0"])),
+    "amp-pair-bool": ("initial_state", lambda d: d.update(initial_state=[[True, 0], [0, 0]])),
     "coeff-nan": ("nan", lambda d: d.update(observable="Z + nan*Y")),
     "observable-non-hermitian": ("observable", lambda d: d.update(observable="i*Z")),
     "observable-no-terms": ("observable", lambda d: d.update(
@@ -339,6 +351,14 @@ def test_grad_malformed_input_exit_2(tmp_path, capsys, field, edit):
     edit(data)
     assert cli.main(["grad", write_spec(tmp_path, data)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_integer_numbers_load(tmp_path):
+    """JSON integers are numbers: integral angles, scales and amplitudes load."""
+    data = {"circuit": {"n_qubits": 1, "n_params": 0, "gates": [
+        {"h": "Z", "wires": [0], "angle": 1, "scale": -1}]},
+        "initial_state": [[1, 0], 0], "observable": "Z"}
+    assert cli.main(["grad", write_spec(tmp_path, data), "--out", str(tmp_path / "g.json")]) == 0
 
 
 def test_forty_qubit_file_exit_2(tmp_path, capsys):

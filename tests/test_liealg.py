@@ -113,6 +113,24 @@ def test_center_u2():
     assert liealg.span_distance(c, liealg.subspace(2, [1j * I2])) < 1e-10
 
 
+def test_center_of_unclosed_subspace():
+    """span{iX, iY} is not bracket-closed and no element of it commutes
+    with the rest: its center is empty, with no warning."""
+    assert liealg.center(pauli_subspace(2, ["X", "Y"])).dim == 0
+
+
+@pytest.mark.parametrize("words, dim", [(["ZI", "IX", "IY", "IZ"], 1), (["IZ", "XI", "YI"], 1),
+                                        (["ZI", "IZ", "XX"], 0), (["ZZ", "XX", "YY"], 3)])
+def test_center_is_symmetry_part_of_commutant(words, dim):
+    """Closed or not, the center is every element of t commuting with t."""
+    t = pauli_subspace(4, words)
+    z = liealg.center(t)
+    assert z.dim == dim
+    for x in z.basis:
+        assert t.contains(x)
+        assert max(np.max(np.abs(x @ b - b @ x)) for b in t.basis) < 1e-12
+
+
 def test_four_decomposition_u1_in_u2():
     fd = liealg.four_decomposition(liealg.subspace(2, [1j * Z]))
     assert fd.dims == (2, 1, 1, 0)

@@ -6,6 +6,7 @@ from symflow import circuit, cli, liealg, pauli, tangent
 from symflow.nummat import (ContractViolation, embed_real, expm_skew, nullspace_real,
                             orthonormal_rows, trace_inner)
 from conftest import (
+    induced_split_oracle,
     pauli_subspace,
     random_circuit,
     random_skew,
@@ -210,22 +211,33 @@ SPLIT_SYMMETRIES = {
 }
 
 
+SPLIT_CASES = given(
+    n=st.integers(1, 3), action=st.sampled_from(["left", "theta"]),
+    kind=st.sampled_from(sorted(SPLIT_SYMMETRIES)), seed=st.integers(0, 10**6),
+    quarter=st.lists(st.booleans(), min_size=3, max_size=3), basis_psi0=st.booleans())
+
+
+def split_case(n, action, kind, seed, quarter, basis_psi0):
+    """Symmetry, random circuit, angles and input state of one drawn split
+    case: each angle an exact multiple of pi/2 where ``quarter`` says so,
+    a uniform draw otherwise."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(n, 3, rng)
+    theta = np.where(quarter, rng.integers(0, 4, 3) * np.pi / 2, rng.uniform(0, 2 * np.pi, 3))
+    psi0 = (circuit.basis_state("".join(rng.choice(["0", "1"], size=n))) if basis_psi0
+            else random_state(n, rng))
+    return cli.symmetry_from_strings(SPLIT_SYMMETRIES[kind](n), action, n), c, theta, psi0
+
+
 @settings(deadline=None, max_examples=60)
-@given(n=st.integers(1, 3), action=st.sampled_from(["left", "theta"]),
-       kind=st.sampled_from(sorted(SPLIT_SYMMETRIES)), seed=st.integers(0, 10**6),
-       quarter=st.lists(st.booleans(), min_size=3, max_size=3), basis_psi0=st.booleans())
+@SPLIT_CASES
 def test_state_split_matches_projector_oracle(n, action, kind, seed, quarter, basis_psi0):
     """The four parts, from nullspaces of small row products, against the
     eigenvectors of projector products.  Angles are exact multiples of
     pi/2, where the splits degenerate, or uniform draws.  The oracle
     resolves principal angles only down to about 1e-4, so a draw that puts
     one between 1e-12 and 1e-2 (about 1 in 3000) is discarded."""
-    rng = np.random.default_rng(seed)
-    c = random_circuit(n, 3, rng)
-    theta = np.where(quarter, rng.integers(0, 4, 3) * np.pi / 2, rng.uniform(0, 2 * np.pi, 3))
-    psi0 = (circuit.basis_state("".join(rng.choice(["0", "1"], size=n))) if basis_psi0
-            else random_state(n, rng))
-    sym = cli.symmetry_from_strings(SPLIT_SYMMETRIES[kind](n), action, n)
+    sym, c, theta, psi0 = split_case(n, action, kind, seed, quarter, basis_psi0)
     wants, near_cut = state_four_split_oracle(sym, c, theta, psi0)
     assume(not near_cut)
     sd = tangent.state_four_decomposition(sym, c, theta, psi0)
@@ -233,6 +245,18 @@ def test_state_split_matches_projector_oracle(n, action, kind, seed, quarter, ba
         assert len(part) == len(want)
         got = np.reshape([embed_real(v) for v in part], (-1, 2 * c.dim))
         assert np.max(np.abs(got.T @ got - want.T @ want)) < 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@SPLIT_CASES
+def test_induced_split_matches_action_matrix_oracle(n, action, kind, seed, quarter, basis_psi0):
+    """The split from the t + u_t tangents and the kernel projection
+    x -> QxQ against the nullspaces of the full (2d, d*d) action matrix."""
+    sym, c, theta, psi0 = split_case(n, action, kind, seed, quarter, basis_psi0)
+    for got, want in zip(tangent.induced_algebra_split(sym, c, theta, psi0),
+                         induced_split_oracle(sym, c, theta, psi0)):
+        assert got.dim == want.dim
+        assert liealg.span_distance(got, want) < 1e-10
 
 
 @pytest.mark.parametrize("eps, counts", [(0.0, (2, 0, 1, 0)), (1e-6, (1, 1, 1, 0)),
@@ -284,6 +308,23 @@ def test_split_takes_one_pass(split, action, rng, monkeypatch):
     monkeypatch.setattr(circuit, "evaluate", lambda *a, **k: pytest.fail("evaluate called"))
     split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
     assert len(calls) == len(c.gates) == 5
+
+
+@pytest.mark.parametrize("action", ["theta", "left"])
+def test_induced_split_carries_only_symmetry_and_commutant(action, rng, monkeypatch):
+    """The split needs no basis of u(d): its batch holds phi, the t basis
+    and an orthonormal basis of t + u_t, 1 + 3 + 5 rows for collective
+    su(2) on two qubits, where u_t = span{i I, i SWAP}."""
+    c = random_circuit(2, 3, rng, n_fixed=2)
+    sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
+    sym.commutant  # solved before counting
+    apply_local, batches = circuit.apply_local, []
+    monkeypatch.setattr(circuit, "apply_local",
+                        lambda psi, *a: batches.append(np.shape(psi)) or apply_local(psi, *a))
+    monkeypatch.setattr(liealg, "skew_basis", lambda d: pytest.fail("skew_basis called"))
+    tangent.induced_algebra_split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
+    # under left the action point is the output, so the batch meets no gate
+    assert batches == ([(1 + 3 + 5, 4)] * 5 if action == "theta" else [(4,)] * 5)
 
 
 def test_induced_split_su2_at_singlet():
