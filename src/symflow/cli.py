@@ -151,6 +151,8 @@ def problem_from_dict(data: dict) -> Problem:
         if not (_is_int(p) and p >= 0):
             raise SpecError(f"n_params must be an integer >= 0, got {p!r}")
         c = circuit.CircuitSpec(n, tuple(_parse_gate(g) for g in cdata.get("gates", [])), p)
+        if p > len(c.gates):  # each parameter drives at most one gate
+            raise SpecError(f"n_params {p} exceeds the gate count {len(c.gates)}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SpecError):
             raise

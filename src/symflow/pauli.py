@@ -103,18 +103,11 @@ def parse_pauli_sum(text: str, n_qubits: int) -> PauliSum:
     if not stripped:
         raise ValueError("empty Pauli-sum string")
     pieces = _SIGN_SPLIT.split(stripped)
-    # pieces = [term, sign, term, sign, ...]; a leading sign yields an empty head
+    # pieces = [term, sign, term, ...]; a leading sign leaves an empty first term
+    signed = list(zip(["+"] + pieces[1::2], pieces[0::2]))[0 if pieces[0] else 1:]
     coeffs: dict[str, complex] = {}
-    sign = 1.0
-    idx = 0
-    if pieces[0].strip() == "":
-        idx = 1
-    while idx < len(pieces):
-        piece = pieces[idx].strip()
-        if piece in ("+", "-"):
-            sign = 1.0 if piece == "+" else -1.0
-            idx += 1
-            continue
+    for sign, piece in signed:
+        piece = piece.strip()
         m = re.fullmatch(r"(.*?)\*?\s*([IXYZ]+)", piece)
         if m is None:
             raise ValueError(f"malformed Pauli term {piece!r}")
@@ -124,45 +117,29 @@ def parse_pauli_sum(text: str, n_qubits: int) -> PauliSum:
                 f"word {word!r} has length {len(word)}, expected {n_qubits}"
             )
         try:
-            coeff = _parse_coeff(head) if head else 1.0
+            coeff = _parse_coeff(head)
         except ValueError as exc:
             raise ValueError(f"bad coefficient {head!r} in term {piece!r}") from exc
-        coeffs[word] = coeffs.get(word, 0.0) + sign * coeff
-        sign = 1.0
-        idx += 1
+        coeffs[word] = coeffs.get(word, 0.0) + (-coeff if sign == "-" else coeff)
     return pauli_sum(n_qubits, coeffs)
 
 
-def _format_magnitude(c: complex) -> str:
-    if abs(c.imag) <= COEFF_PRUNE_TOL:
-        value, suffix = abs(c.real), ""
-    elif abs(c.real) <= COEFF_PRUNE_TOL:
-        value, suffix = abs(c.imag), "i"
-    else:
-        raise ValueError(f"coefficient {c} is neither real nor purely imaginary")
-    if value == 1.0:
-        return suffix
-    return repr(value) + suffix
-
-
-def _coeff_sign(c: complex) -> float:
-    return c.imag if abs(c.imag) > COEFF_PRUNE_TOL else c.real
-
-
 def format_pauli_sum(p: PauliSum) -> str:
-    """Inverse of :func:`parse_pauli_sum` for real/imaginary coefficients."""
+    """Inverse of :func:`parse_pauli_sum` for real/imaginary coefficients;
+    the empty sum prints as ``0*I...I``."""
     if not p.terms:
         return "0*" + "I" * p.n_qubits
     out = []
-    for pos, (word, c) in enumerate(p.terms):
-        mag = _format_magnitude(c)
-        body = f"{mag}*{word}" if mag and mag != "i" else (f"{mag}{word}" if mag else word)
-        if mag == "i":
-            body = "i*" + word
-        if _coeff_sign(c) < 0:
-            out.append(("-" if pos == 0 else " - ") + body)
+    for word, c in p.terms:
+        if abs(c.imag) <= COEFF_PRUNE_TOL:
+            value, suffix = c.real, ""
+        elif abs(c.real) <= COEFF_PRUNE_TOL:
+            value, suffix = c.imag, "i"
         else:
-            out.append(body if pos == 0 else " + " + body)
+            raise ValueError(f"coefficient {c} is neither real nor purely imaginary")
+        mag = ("" if abs(value) == 1.0 else repr(abs(value))) + suffix
+        out += [" - " if value < 0 else " + ", f"{mag}*{word}" if mag else word]
+    out[0] = out[0].strip(" +")  # the leading joiner becomes "-" or nothing
     return "".join(out)
 
 

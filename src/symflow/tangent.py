@@ -138,13 +138,13 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     directions outside the symmetry algebra therefore count as vertical
     when they are shadowed by a genuine symmetry tangent, while trivially
     acting symmetry generators never do.  One pass gives the action
-    tangents of the symmetry basis and of an orthonormal basis of t + u_t.
+    tangents of an orthonormal basis of t + u_t; the tangents of the
+    symmetry basis are read from them, since t lies in t + u_t.
     """
     t_rows = sym.generators.rows
     span_rows = orthonormal_rows(np.vstack([t_rows, sym.commutant.rows]))
-    phi, _, vertical, tangents = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
-                                                  liealg.from_coords(span_rows, c.dim))
-    v_emb = embed_real(vertical)
+    phi, _, tangents = _action_tangents(sym, c, theta, psi0, liealg.from_coords(span_rows, c.dim))
+    v_emb = embed_real((t_rows @ span_rows.T) @ tangents)
     v_rows = orthonormal_rows(v_emb)
     p_v = v_rows.T @ v_rows
 

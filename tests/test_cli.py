@@ -370,6 +370,22 @@ def test_forty_qubit_file_exit_2(tmp_path, capsys):
     assert "n_qubits must be an integer in 1..10, got 40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["grad", "optimize", "decompose"])
+def test_n_params_above_gate_count_exit_2(tmp_path, capsys, command):
+    """Each parameter drives at most one gate, so a larger n_params is
+    rejected when the file is loaded, before any parameter-sized array."""
+    spec = write_spec(tmp_path, {
+        "circuit": {"n_qubits": 1, "n_params": 10**13,
+                    "gates": [{"h": "0.5*Y", "wires": [0], "param": 0}]},
+        "initial_state": "0",
+        "symmetry": {"generators": ["i*Z"]},
+        "observable": "Z",
+        "optimizer": {"method": "gd", "max_iter": 1},
+    })
+    assert cli.main([command, spec, "--out", str(tmp_path / "out")]) == 2
+    assert "n_params 10000000000000 exceeds the gate count 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0", "1"])
 def test_bad_symflow_tol_exit_2(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("SYMFLOW_TOL", value)

@@ -39,6 +39,8 @@ def test_parse_coefficients():
     q = pauli.parse_pauli_sum("-i*Z + 1.5e-2*X", 1)
     assert q.coeffs()["Z"] == pytest.approx(-1j)
     assert q.coeffs()["X"] == pytest.approx(0.015)
+    # a sign after an exponent marker is part of the literal, not a separator
+    assert pauli.parse_pauli_sum("1e-3*X - 2.5E+1i*Z", 1).terms == (("X", 0.001), ("Z", -25j))
 
 
 def test_parse_errors():
@@ -50,6 +52,37 @@ def test_parse_errors():
         pauli.parse_pauli_sum("foo*XX", 2)
     with pytest.raises(ValueError):
         pauli.parse_pauli_sum("", 1)
+
+
+@pytest.mark.parametrize("text, n, message", [
+    ("X +", 1, "malformed Pauli term ''"),
+    ("--X", 1, "malformed Pauli term ''"),
+    ("+", 1, "malformed Pauli term ''"),
+    ("2 X Y", 2, "word 'Y' has length 1, expected 2"),
+    ("2 X Y", 1, "bad coefficient '2 X' in term '2 X Y'"),
+    ("infX", 1, "bad coefficient 'inf' in term 'infX'"),
+])
+def test_parse_error_messages(text, n, message):
+    with pytest.raises(ValueError) as exc:
+        pauli.parse_pauli_sum(text, n)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("coeffs, n, text", [
+    ({"X": 1, "Y": -1, "Z": 1j}, 1, "X - Y + i*Z"),
+    ({"XX": -1j, "YY": -1}, 2, "-i*XX - YY"),
+    ({"X": 1e300, "Y": -0.5j}, 1, "1e+300*X - 0.5i*Y"),
+    ({"Z": complex(0.5 * pauli.COEFF_PRUNE_TOL, -2.0)}, 1, "-2.0i*Z"),  # real part below the cut
+    ({}, 2, "0*II"),
+])
+def test_format_pins(coeffs, n, text):
+    assert pauli.format_pauli_sum(pauli.pauli_sum(n, coeffs)) == text
+
+
+def test_format_rejects_mixed_coefficient():
+    with pytest.raises(ValueError) as exc:
+        pauli.format_pauli_sum(pauli.pauli_sum(1, {"X": 1 + 1j}))
+    assert str(exc.value) == "coefficient (1+1j) is neither real nor purely imaginary"
 
 
 def test_zero_sum_matrix():
@@ -138,7 +171,8 @@ def pauli_sums(draw):
     coeffs = {}
     for _ in range(n_terms):
         word = "".join(draw(st.sampled_from("IXYZ")) for _ in range(n))
-        mag = draw(st.floats(0.01, 10.0, allow_nan=False))
+        # exactly 1.0 prints with no magnitude: "X", "-X", "i*X"
+        mag = draw(st.one_of(st.just(1.0), st.floats(0.01, 10.0, allow_nan=False)))
         sign = draw(st.sampled_from([1.0, -1.0]))
         kind = draw(st.sampled_from(["real", "imag"]))
         coeffs[word] = sign * mag * (1j if kind == "imag" else 1.0)

@@ -312,9 +312,10 @@ def test_split_takes_one_pass(split, action, rng, monkeypatch):
 
 @pytest.mark.parametrize("action", ["theta", "left"])
 def test_induced_split_carries_only_symmetry_and_commutant(action, rng, monkeypatch):
-    """The split needs no basis of u(d): its batch holds phi, the t basis
-    and an orthonormal basis of t + u_t, 1 + 3 + 5 rows for collective
-    su(2) on two qubits, where u_t = span{i I, i SWAP}."""
+    """The split needs no basis of u(d): its batch holds phi and an
+    orthonormal basis of t + u_t, 1 + 5 rows for collective su(2) on two
+    qubits, where u_t = span{i I, i SWAP}; the t tangents are read from
+    those of t + u_t, which contains t."""
     c = random_circuit(2, 3, rng, n_fixed=2)
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
     sym.commutant  # solved before counting
@@ -324,7 +325,7 @@ def test_induced_split_carries_only_symmetry_and_commutant(action, rng, monkeypa
     monkeypatch.setattr(liealg, "skew_basis", lambda d: pytest.fail("skew_basis called"))
     tangent.induced_algebra_split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
     # under left the action point is the output, so the batch meets no gate
-    assert batches == ([(1 + 3 + 5, 4)] * 5 if action == "theta" else [(4,)] * 5)
+    assert batches == ([(1 + 5, 4)] * 5 if action == "theta" else [(4,)] * 5)
 
 
 def test_induced_split_su2_at_singlet():
