@@ -5,6 +5,7 @@ seeds and report convergence, the final angles, and the vector potential.
 Writes one trace CSV per seed plus a summary table.
 
 Usage: python scripts/run_entangling_demo.py [--seeds N] [--outdir DIR]
+       [--lr LR] [--method gd|qng|cqng]
 """
 import argparse
 import pathlib

@@ -1,19 +1,18 @@
 """Quantum-computer-style estimation paths, simulated exactly.
 
-The tangent overlaps omega_{bj} are measured with a modified Hadamard
-test: decompose the symmetry generator z_b into unitary Pauli words
-z_b = sum_l chi_l w_l, run one ancilla circuit per word (ancilla prepared
-in |+>, controlled-w_l, then the relevant part of the circuit), measure
-the ancilla in the X basis together with the gate generator on the
-system, and contract the expectation values with i * chi_l.  An optional
-variant decomposes the gate generator instead and measures the symmetry
-generator.  The circuits are simulated in branch form: after the
-controlled word the state is (|0> a + |1> b_l) / sqrt 2, so
-<X (x) B>_l = Re <a|B|b_l>, and one batch of n-qubit rows carries a and
-every b_l from the control point to the measurement point.
+Both estimators are one modified Hadamard test: decompose a skew-Hermitian
+operator z = sum_l chi_l w_l into unitary Pauli words, run one ancilla
+circuit per word (ancilla in |+>, controlled-w_l at a control point, the
+circuit up to a measurement point) and measure the ancilla together with a
+Hermitian B on the system.  In branch form the state after the controlled
+word is (|0> a + |1> b_l) / sqrt 2, so <X (x) B>_l = Re <a|B|b_l> and
+<Y (x) B>_l = Im <a|B|b_l>; one batch of n-qubit rows carries a and every
+b_l from the control point to the measurement point.
 
-The symmetry derivatives m_a are estimated as central finite differences
-of the cost with exp(z_a t) inserted at the action point.
+The overlaps omega_{bj} control z_b's words at the action point and measure
+gate j's generator at gate j (or exchange the roles), contracting with
+i * chi_l.  The derivatives m_a control z_a's words at the action point and
+measure M at the output: m_a = 2 Re sum_l chi_l <a|M|b_l>, the Y reading.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, pauli
-from .nummat import expm_skew, require_skew_hermitian
+from .nummat import require_skew_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,16 +61,19 @@ def _operand(x, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _plan(c: circuit.CircuitSpec, theta, j: int, z_b, action: str, decompose_generator: bool):
     """Checked theta and z_b, the gate of parameter j, the decomposed operator,
-    and the gate positions of the controlled word and of the measurement:
-    the action point and gate j, exchanged with ``decompose_generator``."""
+    the measured B as (local matrix, wires), and the gate positions of the
+    controlled word and of the measurement: z_b at the action point and
+    -scale * H at gate j, exchanged (B = i z_b) with ``decompose_generator``."""
     theta = circuit.check_theta(c, theta)
     z_b = require_skew_hermitian(_operand(z_b, (c.dim, c.dim), "z_b"), name="symmetry generator")
     point, k = circuit.action_point(c, action), circuit._gate_index(c, j)
     gate = c.gates[k]
     if not decompose_generator:
-        return theta, z_b, gate, pauli.unitary_decomposition(z_b), (point, k)
+        b = (-gate.scale * circuit.generator_matrix(gate.generator), gate.wires)
+        return theta, z_b, gate, pauli.unitary_decomposition(z_b), b, (point, k)
     kappa = circuit.embed_operator(circuit.gate_skew_generator(gate), gate.wires, c.n_qubits)
-    return theta, z_b, gate, pauli.unitary_decomposition(kappa), (k, point)
+    b = (1j * z_b, tuple(range(c.n_qubits)))
+    return theta, z_b, gate, pauli.unitary_decomposition(kappa), b, (k, point)
 
 
 def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: str,
@@ -79,7 +81,8 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
     """One fixed-angle ancilla circuit per unitary term of the decomposed
     operator.  By default z_b is decomposed and the gate generator is
     measured; with ``decompose_generator`` the roles are exchanged."""
-    theta, z_b, gate, decomposition, points = _plan(c, theta, j, z_b, action, decompose_generator)
+    theta, z_b, gate, decomposition, _, points = _plan(c, theta, j, z_b, action,
+                                                       decompose_generator)
     if decompose_generator:
         system_obs = pauli.pauli_decompose(1j * z_b)
     else:
@@ -95,23 +98,26 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
     return out
 
 
+def _branch_overlaps(c: circuit.CircuitSpec, theta, psi0, decomposition, b, control: int,
+                     measure: int) -> tuple[np.ndarray, np.ndarray]:
+    """chi_l and <a|B|b_l>, words controlled at ``control`` and B = (local
+    matrix, wires) measured at ``measure``: X reading + i * Y reading."""
+    x = circuit.apply_gates(c, theta, psi0, 0, control)
+    words = [pauli.word_matrix(w) @ x for _, w in decomposition.terms]
+    rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
+    b_on_a = circuit.apply_local(rows[0], *b, c.n_qubits)
+    chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
+    return chi, rows[1:] @ b_on_a.conj()
+
+
 def hadamard_terms(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str,
                    decompose_generator: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """chi_l and <X (x) B>_l = Re <a|B|b_l> for the circuits of
     :func:`build_ancilla_circuit`, in its order, in branch form."""
     psi0 = _operand(psi0, (c.dim,), "psi0")
-    theta, z_b, gate, decomposition, (control, measure) = _plan(c, theta, j, z_b, action,
-                                                                decompose_generator)
-    x = circuit.apply_gates(c, theta, psi0, 0, control)
-    words = [pauli.word_matrix(w) @ x for _, w in decomposition.terms]
-    rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
-    if decompose_generator:
-        b_on_a = 1j * (z_b @ rows[0])
-    else:
-        b_mat = -gate.scale * circuit.generator_matrix(gate.generator)
-        b_on_a = circuit.apply_local(rows[0], b_mat, gate.wires, c.n_qubits)
-    chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
-    return chi, np.real(rows[1:] @ b_on_a.conj())
+    theta, _, _, decomposition, b, points = _plan(c, theta, j, z_b, action, decompose_generator)
+    chi, overlaps = _branch_overlaps(c, theta, psi0, decomposition, b, *points)
+    return chi, np.real(overlaps)
 
 
 def hadamard_omega(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str,
@@ -123,15 +129,11 @@ def hadamard_omega(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str
 
 def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
                 action: str) -> float:
-    """Symmetry derivative m_a as a central finite difference, step 1e-5,
-    of the cost with exp(z_a t) inserted at the action point."""
+    """Symmetry derivative m_a = 2 Re sum_l chi_l <a|M|b_l>: z_a's words
+    controlled at the action point, the Hermitian M measured at the output."""
     psi0 = _operand(psi0, (c.dim,), "psi0")
     z_a = require_skew_hermitian(_operand(z_a, (c.dim, c.dim), "z_a"), name="symmetry generator")
-    point = circuit.action_point(c, action)
-    m_mat = pauli.to_matrix(m)
-    steps = expm_skew(z_a, np.array([1e-5, -1e-5]))  # one eigh for both steps
-    x = circuit.apply_gates(c, theta, psi0, 0, point)
-    # one pass per step after the point: a (2, d) batch would round m differently
-    psis = [circuit.apply_gates(c, theta, u @ x, point) for u in steps]
-    plus, minus = (float(np.real(np.vdot(psi, m_mat @ psi))) for psi in psis)
-    return (plus - minus) / 2e-5
+    b = (circuit.ExpectationCost(m).matrices[0], tuple(range(c.n_qubits)))
+    chi, overlaps = _branch_overlaps(c, theta, psi0, pauli.unitary_decomposition(z_a), b,
+                                     circuit.action_point(c, action), len(c.gates))
+    return float(2.0 * np.real(chi @ overlaps))

@@ -26,6 +26,7 @@ from .nummat import (
     GramSchmidt,
     complement_rows,
     nullspace_real,
+    require_finite,
     require_skew_hermitian,
     trace_inner,  # noqa: F401  (part of this module's public surface)
 )
@@ -71,7 +72,7 @@ def subspace(d: int, mats) -> Subspace:
 
     The matrices themselves, not their round trip through coordinates,
     become the ``basis`` view."""
-    basis = np.array(mats, dtype=complex)
+    basis = require_finite(np.array(mats, dtype=complex), "basis")
     if basis.size == 0:
         basis = np.zeros((0, d, d), dtype=complex)
     if basis.ndim != 3 or basis.shape[1:] != (d, d):

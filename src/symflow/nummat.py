@@ -53,8 +53,16 @@ def _as_square(x, name: str = "matrix") -> np.ndarray:
     return x
 
 
+def require_finite(x, name: str = "matrix") -> np.ndarray:
+    """x as a complex array; ValueError if an entry is NaN or infinite."""
+    x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite entry in {name}")
+    return x
+
+
 def require_skew_hermitian(x, name: str = "matrix") -> np.ndarray:
-    x = _as_square(x, name)
+    x = require_finite(_as_square(x, name), name)
     defect = float(np.max(np.abs(x + x.conj().T)))
     if defect > HERM_TOL:
         raise ContractViolation(f"{name} is not skew-Hermitian (defect {defect:.3e})")
@@ -86,15 +94,13 @@ def unembed(r) -> np.ndarray:
 
 
 def expm_skew(x, scale: float = 1.0) -> np.ndarray:
-    """exp(scale * x) for skew-Hermitian x, via eigendecomposition of i*x;
-    one eigendecomposition gives the stack for an array of scales.
+    """exp(scale * x) for skew-Hermitian x, via eigendecomposition of i*x.
 
     Exactly unitary up to roundoff, which matters more here than speed.
     """
     x = require_skew_hermitian(x)
     evals, vecs = np.linalg.eigh(1j * x)
-    phases = np.exp(-1j * np.multiply.outer(scale, evals))
-    return (vecs * phases[..., None, :]) @ vecs.conj().T
+    return (vecs * np.exp(-1j * (scale * evals))) @ vecs.conj().T
 
 
 def pinv_psd(g) -> np.ndarray:

@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .nummat import ContractViolation, require_skew_hermitian
+from .nummat import ContractViolation, require_finite, require_skew_hermitian
 
 COEFF_PRUNE_TOL = 1e-12
 
@@ -78,6 +78,7 @@ def pauli_sum(n_qubits: int, coeffs: dict[str, complex]) -> PauliSum:
         if len(word) != n_qubits or any(ch not in "IXYZ" for ch in word):
             raise ValueError(f"bad Pauli word {word!r} for {n_qubits} qubit(s)")
         clean[word] = clean.get(word, 0.0) + complex(c)
+    require_finite(list(clean.values()), "Pauli coefficients")
     terms = tuple(
         (w, clean[w]) for w in sorted(clean) if abs(clean[w]) > COEFF_PRUNE_TOL
     )
@@ -224,7 +225,7 @@ def inverse_pauli_transform(c) -> np.ndarray:
 
 def pauli_decompose(m) -> PauliSum:
     """Project a matrix onto Pauli words: coeff(P) = tr(P m) / d."""
-    m = np.asarray(m, dtype=complex)
+    m = require_finite(m)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got {m.shape}")
     coeffs = pauli_transform(m)

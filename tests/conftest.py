@@ -125,6 +125,26 @@ def ancilla_omega(c, theta, j: int, z_b, psi0, action: str,
     return float(np.real(1j * total))
 
 
+def ancilla_m(c, theta, psi0, m: pauli.PauliSum, z_a, action: str) -> float:
+    """``estimators.insertion_m`` from the (n+1)-qubit simulation of the m
+    circuits: ancilla in |+>, each word w_l of z_a controlled at the action
+    point between the shifted gates, and Y (x) M read at the output.  For
+    the imaginary chi_l of a skew-Hermitian z_a, 2 Re sum_l chi_l <a|M|b_l>
+    is -2 sum_l Im(chi_l) <Y (x) M>_l."""
+    theta = circuit.check_theta(c, theta)
+    point = circuit.action_point(c, action)
+    gates = [estimators._shift_gate(g, theta) for g in c.gates]
+    readout = np.kron(pauli.word_matrix("Y"), pauli.to_matrix(m))
+    phi0 = np.kron(ANCILLA_PLUS, np.asarray(psi0, dtype=complex))
+    total = 0.0
+    for chi, word in pauli.unitary_decomposition(z_a).terms:
+        ctrl = estimators._controlled_word_gate(word)
+        layout = gates[:point] + ([ctrl] if ctrl is not None else []) + gates[point:]
+        phi = circuit.apply(circuit.CircuitSpec(c.n_qubits + 1, tuple(layout), 0), [], phi0)
+        total += -2.0 * chi.imag * float(np.real(np.vdot(phi, readout @ phi)))
+    return total
+
+
 def sqrt_pinv_psd(g) -> np.ndarray:
     """Principal square root of ``nummat.pinv_psd(g)``."""
     evals, vecs = np.linalg.eigh(nummat.pinv_psd(g))

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symflow import circuit, estimators, liealg, pauli, symgrad, tangent
-from symflow.nummat import expm_skew
 from conftest import (
     ancilla_expectation,
+    ancilla_m,
     ancilla_omega,
     random_circuit,
     random_observable,
@@ -234,25 +234,30 @@ def test_operand_from_another_register_rejected(call, message):
         call(c)
 
 
-def test_insertion_m_matches_one_exponential_per_step(rng):
-    """One eigh of z_a serves both steps and gives, bit for bit, the
-    difference of two separately exponentiated insertions."""
-    for action in ("theta", "left"):
-        c = random_circuit(2, 3, rng)
-        theta = rng.uniform(0, 2 * np.pi, 3)
-        psi0 = random_state(2, rng)
-        obs = random_observable(2, rng)
-        z = random_skew(4, rng)
+def test_insertion_m_rejects_non_hermitian_observable():
+    c = random_circuit(2, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="observable must be Hermitian"):
+        estimators.insertion_m(c, [0.3, 0.4], PSI_2Q, 1j * pauli.parse_pauli_sum("XI", 2), ZI,
+                               "left")
 
-        def value(t):
-            if action == "theta":
-                psi = circuit.apply(c, theta, expm_skew(z, t) @ psi0)
-            else:
-                psi = expm_skew(z, t) @ circuit.apply(c, theta, psi0)
-            return float(np.real(np.vdot(psi, pauli.to_matrix(obs) @ psi)))
 
-        want = (value(1e-5) - value(-1e-5)) / 2e-5
-        assert estimators.insertion_m(c, theta, psi0, obs, z, action) == want
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 3), p=st.integers(1, 3),
+       n_fixed=st.integers(0, 2), action=st.sampled_from(["theta", "left"]))
+def test_insertion_m_matches_y_basis_oracle(seed, n, p, n_fixed, action):
+    """m_a against the (n+1)-qubit Y-basis circuits and against symgrad; the
+    identity component of z_a gives a word with no controlled gate."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(n, p, rng, n_fixed=n_fixed)
+    theta, psi0 = rng.uniform(0, 2 * np.pi, p), random_state(n, rng)
+    obs = random_observable(n, rng)
+    z = random_skew(2**n, rng) + 0.7j * np.eye(2**n)
+    z = z / np.sqrt(liealg.trace_inner(z, z))
+    assert "I" * n in [w for _, w in pauli.unitary_decomposition(z).terms]
+    got = estimators.insertion_m(c, theta, psi0, obs, z, action)
+    assert abs(got - ancilla_m(c, theta, psi0, obs, z, action)) < 1e-12
+    sym = tangent.SymmetrySpec(liealg.subspace(2**n, [z]), action)
+    assert abs(got - symgrad.symmetry_derivative(sym, c, theta, psi0, obs)[0]) < 1e-12
 
 
 def test_insertion_m_commuting_observable(rng):
@@ -262,7 +267,7 @@ def test_insertion_m_commuting_observable(rng):
     psi0 = random_state(2, rng)
     for z in su2_tensor_subspace().basis:
         got = estimators.insertion_m(c, theta, psi0, swap_obs, z, "left")
-        assert abs(got) < 1e-9
+        assert abs(got) < 1e-15
 
 
 def test_insertion_m_matches_symmetry_derivative(rng):
@@ -275,7 +280,7 @@ def test_insertion_m_matches_symmetry_derivative(rng):
         m = symgrad.symmetry_derivative(sym, c, theta, psi0, obs)
         for a, z in enumerate(sym.generators.basis):
             got = estimators.insertion_m(c, theta, psi0, obs, z, action)
-            assert got == pytest.approx(m[a], abs=1e-6)
+            assert got == pytest.approx(m[a], abs=1e-12)
 
 
 def test_insertion_m_vanishes_at_entangling_optimum():
@@ -289,4 +294,4 @@ def test_insertion_m_vanishes_at_entangling_optimum():
     for obs in prob.cost.observables:
         for z in prob.symmetry.generators.basis:
             got = estimators.insertion_m(prob.circuit, theta, psi0, obs, z, "left")
-            assert abs(got) < 1e-6
+            assert abs(got) < 2e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symflow import nummat, pauli
+from symflow import circuit, estimators, liealg, nummat, pauli
 from conftest import random_skew, sqrt_pinv_psd
 
 
@@ -48,18 +48,36 @@ def test_expm_skew_unitary_many(rng):
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
 
-def test_expm_skew_stack_of_scales_is_bitwise_the_single_scales(rng):
-    x = random_skew(8, rng)
-    scales = np.array([1e-5, -1e-5, 0.7])
-    stack = nummat.expm_skew(x, scales)
-    assert stack.shape == (3, 8, 8)
-    for u, t in zip(stack, scales):
-        assert np.array_equal(u, nummat.expm_skew(x, t))
-
-
 def test_expm_skew_rejects_non_skew():
     with pytest.raises(nummat.ContractViolation):
         nummat.expm_skew(np.eye(2))
+
+
+NAN_2X2 = np.full((2, 2), np.nan)
+ONE_QUBIT_X = circuit.CircuitSpec(1, (circuit.rotation("X", (0,), param=0),), 1)
+KET_0 = circuit.basis_state("0")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nummat.require_skew_hermitian(NAN_2X2),
+    lambda: nummat.require_skew_hermitian(np.diag([1j * np.inf, 0.0])),
+    lambda: estimators.hadamard_omega(ONE_QUBIT_X, [0.3], 0, NAN_2X2, KET_0, "theta"),
+    lambda: estimators.insertion_m(ONE_QUBIT_X, [0.3], KET_0, pauli.parse_pauli_sum("Z", 1),
+                                   NAN_2X2, "theta"),
+    lambda: liealg.lie_closure([NAN_2X2]),
+    lambda: liealg.subspace(2, [NAN_2X2]),
+    lambda: pauli.pauli_decompose(NAN_2X2),
+    lambda: pauli.pauli_sum(1, {"X": np.nan, "Z": 1}),
+    lambda: pauli.pauli_sum(1, {"X": np.inf}),
+    lambda: pauli.parse_pauli_sum("Z", 1) * np.nan,
+], ids=["require_skew_hermitian-nan", "require_skew_hermitian-inf", "hadamard_omega",
+        "insertion_m", "lie_closure", "subspace", "pauli_decompose", "pauli_sum-nan",
+        "pauli_sum-inf", "pauli_sum-scaled"])
+def test_non_finite_input_rejected(call):
+    """A NaN or infinite entry or coefficient raises instead of passing a
+    tolerance test (NaN compares false) or being pruned as small."""
+    with pytest.raises(ValueError, match="non-finite entry"):
+        call()
 
 
 def test_pinv_psd_diagonal():
