@@ -14,21 +14,23 @@ states, so everything downstream is a matrix product on its result.
 The frame of the symmetry tangents comes from one SVD of their real
 embedding, cut by the ``nummat`` rank rule: it gives an orthonormal
 frame of their span, its rank and the pseudo-inverse of their Gram matrix.
-Each generator's matrix and eigendecomposition are computed once and
-cached (:func:`generator_matrix`, :func:`generator_spectrum`), so a gate
-unitary is a phase multiply.  A cost spec (:class:`ExpectationCost`,
-:class:`SquaredSumCost`) checks its observables once, holds their
-matrices, and maps psi to the cost and its covector g, dC = 2 Re <g|d psi>.
+:func:`apply_gate` applies a gate whose generator's Pauli words commute as
+rotations cos a + i sin a P, each word P a signed permutation of the
+amplitudes (``pauli.word_action``); others take the eigen route (:func:`gate_unitary`).
+A cost spec (:class:`ExpectationCost`, :class:`SquaredSumCost`) checks its
+observables once, holds their matrices, and maps psi to the cost and its
+covector g, dC = 2 Re <g|d psi>.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import cos, sin
 
 import numpy as np
 
 from . import liealg, pauli
-from .nummat import embed_real, orthonormal_frame, unembed
+from .nummat import embed_real, orthonormal_frame, require_finite, unembed
 
 DENSE_QUBIT_CAP = 10
 SPECTRUM_CACHE_SIZE = 256
@@ -60,6 +62,7 @@ class Gate:
             raise ValueError("generator qubit count does not match wires")
         if not self.generator.is_hermitian():
             raise ValueError("gate generator must be Hermitian (real coefficients)")
+        require_finite([self.scale, self.angle or 0.0], "gate angle and scale")
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,27 @@ def apply_local(state: Statevector, mat: np.ndarray, wires, n: int) -> Statevect
     return t.transpose(inverse).reshape(psi.shape)
 
 
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _word_factors(generator: pauli.PauliSum, wires: tuple[int, ...], n: int):
+    """(h_w, src, phase) per full-register word P_w of sum_w h_w P_w; None if two anticommute."""
+    terms = pauli.embed(generator, wires, n).terms
+    if pauli.commuting([w for w, _ in terms]):
+        return tuple((h.real, *pauli.word_action(w)) for w, h in terms)
+
+
+def apply_gate(psi: Statevector, g: Gate, theta, n: int, undone: bool = False) -> Statevector:
+    """Gate g, or its inverse if ``undone``, on an n-qubit state or (B, 2^n) batch:
+    prod_w exp(i scale angle h_w P_w), one gather per commuting word; else eigen route."""
+    factors = _word_factors(g.generator, g.wires, n)
+    if factors is None:
+        u = gate_unitary(g, theta)
+        return apply_local(psi, u.conj().T if undone else u, g.wires, n)
+    angle = g.scale * gate_angle(g, theta) * (-1.0 if undone else 1.0)
+    for h, src, phase in factors:
+        psi = cos(angle * h) * psi + (1j * sin(angle * h) * phase) * psi.take(src, axis=-1)
+    return psi
+
+
 def embed_operator(mat: np.ndarray, wires, n: int) -> np.ndarray:
     """Promote a local operator to the full 2^n-dimensional register: its
     rows are the operator applied to every basis state."""
@@ -175,7 +199,7 @@ def embed_operator(mat: np.ndarray, wires, n: int) -> np.ndarray:
 
 
 def _check_states(c: CircuitSpec, states) -> np.ndarray:
-    psi = np.asarray(states, dtype=complex)
+    psi = require_finite(states, "state")
     if psi.ndim not in (1, 2) or psi.shape[-1] != c.dim:
         raise ValueError(f"state has shape {psi.shape}, expected ({c.dim},) or (B, {c.dim})")
     return psi
@@ -198,8 +222,7 @@ def apply_gates(c: CircuitSpec, theta, psi0: Statevector, start: int = 0,
     theta = check_theta(c, theta)
     psi = _check_states(c, psi0)
     for g, undone in segment(c, start, len(c.gates) if stop is None else stop):
-        u = gate_unitary(g, theta)
-        psi = apply_local(psi, u.conj().T if undone else u, g.wires, c.n_qubits)
+        psi = apply_gate(psi, g, theta, c.n_qubits, undone)
     return psi
 
 
@@ -324,7 +347,7 @@ def evaluate(c: CircuitSpec, theta, psi0: Statevector, generators=(),
     batch[1:carried] = at_action
     live = carried
     for g in c.gates:
-        batch[:live] = apply_local(batch[:live], gate_unitary(g, theta), g.wires, c.n_qubits)
+        batch[:live] = apply_gate(batch[:live], g, theta, c.n_qubits)
         if g.param is not None:
             batch[live] = apply_local(batch[0], gate_skew_generator(g), g.wires, c.n_qubits)
             live += 1

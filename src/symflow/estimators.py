@@ -103,7 +103,7 @@ def _branch_overlaps(c: circuit.CircuitSpec, theta, psi0, decomposition, b, cont
     """chi_l and <a|B|b_l>, words controlled at ``control`` and B = (local
     matrix, wires) measured at ``measure``: X reading + i * Y reading."""
     x = circuit.apply_gates(c, theta, psi0, 0, control)
-    words = [pauli.word_matrix(w) @ x for _, w in decomposition.terms]
+    words = [ph * x[src] for src, ph in (pauli.word_action(w) for _, w in decomposition.terms)]
     rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
     b_on_a = circuit.apply_local(rows[0], *b, c.n_qubits)
     chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)

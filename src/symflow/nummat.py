@@ -53,9 +53,9 @@ def _as_square(x, name: str = "matrix") -> np.ndarray:
     return x
 
 
-def require_finite(x, name: str = "matrix") -> np.ndarray:
-    """x as a complex array; ValueError if an entry is NaN or infinite."""
-    x = np.asarray(x, dtype=complex)
+def require_finite(x, name: str = "matrix", dtype=complex) -> np.ndarray:
+    """x as an array of ``dtype``; ValueError if an entry is NaN or infinite."""
+    x = np.asarray(x, dtype=dtype)
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite entry in {name}")
     return x
@@ -126,7 +126,7 @@ def _svd_rows(m, null: bool) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Numerical rank and SVD factors U, s, V^T of a real matrix: all of V
     for a nullspace, the thin V otherwise; rank 0, no singular pairs and
     V = I below the floor."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    m = np.atleast_2d(require_finite(m, "matrix", float))
     if m.shape[0] == 0 or not np.any(np.abs(m) > ZERO_MATRIX_FLOOR):
         return 0, np.zeros((m.shape[0], 0)), np.zeros(0), np.eye(m.shape[1])
     # a tall matrix's thin SVD already returns the full V

@@ -151,6 +151,23 @@ def word_matrix(word: str) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=4096)
+def word_action(word: str) -> tuple[np.ndarray, np.ndarray]:
+    """A Pauli word P as a signed permutation (src, phase), qubit 0 the leading
+    bit: P v = ``phase * v[..., src]``; a Pauli's row sums are its nonzeros."""
+    src = np.arange(2 ** len(word)) ^ int("".join("01"[ch in "XY"] for ch in word), 2)
+    phase = reduce(np.kron, (PAULI_1Q[ch].sum(axis=1) for ch in word))
+    src.setflags(write=False)
+    phase.setflags(write=False)
+    return src, phase
+
+
+def commuting(words) -> bool:
+    """Whether Pauli words commute pairwise: an even count of differing non-I letters."""
+    return not any(sum("I" != x != y != "I" for x, y in zip(a, b)) % 2
+                   for i, a in enumerate(words) for b in words[:i])
+
+
 def to_matrix(p: PauliSum) -> np.ndarray:
     d = p.dim
     out = np.zeros((d, d), dtype=complex)

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,6 +144,23 @@ def ancilla_m(c, theta, psi0, m: pauli.PauliSum, z_a, action: str) -> float:
         phi = circuit.apply(circuit.CircuitSpec(c.n_qubits + 1, tuple(layout), 0), [], phi0)
         total += -2.0 * chi.imag * float(np.real(np.vdot(phi, readout @ phi)))
     return total
+
+
+def dense_branch_overlaps(c, theta, psi0, decomposition, b, control: int, measure: int):
+    """``estimators._branch_overlaps`` with every word applied as its dense
+    matrix, ``pauli.word_matrix(w) @ x``, in place of its signed permutation."""
+    x = circuit.apply_gates(c, theta, psi0, 0, control)
+    words = [pauli.word_matrix(w) @ x for _, w in decomposition.terms]
+    rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
+    b_on_a = circuit.apply_local(rows[0], *b, c.n_qubits)
+    chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
+    return chi, rows[1:] @ b_on_a.conj()
+
+
+def on_dense_words(estimate, *args):
+    """An estimator's value with its words applied as dense matrices."""
+    with mock.patch.object(estimators, "_branch_overlaps", dense_branch_overlaps):
+        return estimate(*args)
 
 
 def sqrt_pinv_psd(g) -> np.ndarray:

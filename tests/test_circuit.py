@@ -8,6 +8,7 @@ from conftest import (
     random_circuit,
     random_observable,
     random_state,
+    random_word,
     single_qubit_example,
 )
 
@@ -318,6 +319,48 @@ def test_theta_validation():
         circuit.apply(c, [0.1], circuit.basis_state("0"))
     with pytest.raises(ValueError):
         circuit.apply(c, [0.1, np.nan, 0.2], circuit.basis_state("0"))
+
+
+def kernel_case_gate(kind: str, n: int, rng) -> circuit.Gate:
+    """A gate on n qubits of one generator kind for the kernel property."""
+    k = {"identity": int(rng.integers(1, n + 1)), "word": int(rng.integers(1, n + 1)),
+         "demo": 2, "anticommuting": 2, "controlled": n}[kind]
+    wires = tuple(int(w) for w in rng.permutation(n)[:k])
+    scale = float(rng.choice([-1.0, rng.uniform(-2, 2)]))
+    if kind == "controlled":
+        word = "".join(rng.choice(list("IXYZ"), size=n - 1))
+        ctrl = estimators._controlled_word_gate(word if word.strip("I") else "X" + word[1:])
+        return circuit.Gate(ctrl.generator, tuple(wires[q] for q in ctrl.wires), param=0,
+                            scale=scale)
+    text = {"identity": "0.7*" + "I" * k, "word": "0.5*" + random_word(k, rng),
+            "demo": "0.25*XI - 0.25*XZ", "anticommuting": "0.3*XI + 0.4*ZY"}[kind]
+    return circuit.Gate(pauli.parse_pauli_sum(text, k), wires, param=0, scale=scale)
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 5),
+       kind=st.sampled_from(["identity", "word", "demo", "controlled", "anticommuting"]),
+       undone=st.booleans(), batch=st.sampled_from([None, 1, 3]))
+def test_apply_gate_matches_local_unitary(seed, n, kind, undone, batch):
+    """Word rotations as signed permutations, and the eigen route of a
+    generator with anticommuting words, against the dense local unitary."""
+    rng = np.random.default_rng(seed)
+    g = kernel_case_gate(kind, n, rng)
+    assert (circuit._word_factors(g.generator, g.wires, n) is None) == (kind == "anticommuting")
+    theta = rng.uniform(-2 * np.pi, 2 * np.pi, 1)
+    psi = (random_state(n, rng) if batch is None
+           else np.stack([random_state(n, rng) for _ in range(batch)]))
+    u = circuit.gate_unitary(g, theta)
+    want = circuit.apply_local(psi, u.conj().T if undone else u, g.wires, n)
+    got = circuit.apply_gate(psi, g, theta, n, undone)
+    assert got.shape == psi.shape
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_word_action_is_the_word_matrix():
+    for word in pauli.all_words(3):
+        src, phase = pauli.word_action(word)
+        assert np.array_equal(pauli.word_matrix(word), phase[:, None] * np.eye(8)[src])
 
 
 def test_embed_operator_against_kron(rng):

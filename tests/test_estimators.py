@@ -7,6 +7,7 @@ from conftest import (
     ancilla_expectation,
     ancilla_m,
     ancilla_omega,
+    on_dense_words,
     random_circuit,
     random_observable,
     random_skew,
@@ -176,6 +177,9 @@ def check_branch_form(c, theta, psi0, z, action, decompose_generator):
         got = estimators.hadamard_omega(c, theta, j, z, psi0, action, decompose_generator)
         want = ancilla_omega(c, theta, j, z, psi0, action, decompose_generator)
         assert abs(got - want) < 1e-12
+        dense = on_dense_words(estimators.hadamard_omega, c, theta, j, z, psi0, action,
+                               decompose_generator)
+        assert abs(got - dense) <= 1e-15
 
 
 @settings(deadline=None, max_examples=40)
@@ -256,6 +260,8 @@ def test_insertion_m_matches_y_basis_oracle(seed, n, p, n_fixed, action):
     assert "I" * n in [w for _, w in pauli.unitary_decomposition(z).terms]
     got = estimators.insertion_m(c, theta, psi0, obs, z, action)
     assert abs(got - ancilla_m(c, theta, psi0, obs, z, action)) < 1e-12
+    dense = on_dense_words(estimators.insertion_m, c, theta, psi0, obs, z, action)
+    assert abs(got - dense) <= 1e-15
     sym = tangent.SymmetrySpec(liealg.subspace(2**n, [z]), action)
     assert abs(got - symgrad.symmetry_derivative(sym, c, theta, psi0, obs)[0]) < 1e-12
 

@@ -70,9 +70,15 @@ KET_0 = circuit.basis_state("0")
     lambda: pauli.pauli_sum(1, {"X": np.nan, "Z": 1}),
     lambda: pauli.pauli_sum(1, {"X": np.inf}),
     lambda: pauli.parse_pauli_sum("Z", 1) * np.nan,
+    lambda: nummat.orthonormal_rows(NAN_2X2),
+    lambda: circuit.rotation("X", (0,), angle=np.nan),
+    lambda: circuit.Gate(pauli.parse_pauli_sum("X", 1), (0,), param=0, scale=np.nan),
+    lambda: circuit.apply_gates(ONE_QUBIT_X, [0.3], np.array([np.nan, 1.0])),
+    lambda: circuit.evaluate(ONE_QUBIT_X, [0.3], np.array([np.nan, 1.0])),
 ], ids=["require_skew_hermitian-nan", "require_skew_hermitian-inf", "hadamard_omega",
         "insertion_m", "lie_closure", "subspace", "pauli_decompose", "pauli_sum-nan",
-        "pauli_sum-inf", "pauli_sum-scaled"])
+        "pauli_sum-inf", "pauli_sum-scaled", "orthonormal_rows", "gate-angle", "gate-scale",
+        "apply_gates", "evaluate"])
 def test_non_finite_input_rejected(call):
     """A NaN or infinite entry or coefficient raises instead of passing a
     tolerance test (NaN compares false) or being pruned as small."""

@@ -303,8 +303,8 @@ def test_split_takes_one_pass(split, action, rng, monkeypatch):
     c = random_circuit(2, 3, rng, n_fixed=2)
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
     sym.commutant  # solved before counting; it applies no gates
-    apply_local, calls = circuit.apply_local, []
-    monkeypatch.setattr(circuit, "apply_local", lambda *a: calls.append(1) or apply_local(*a))
+    apply_gate, calls = circuit.apply_gate, []
+    monkeypatch.setattr(circuit, "apply_gate", lambda *a: calls.append(1) or apply_gate(*a))
     monkeypatch.setattr(circuit, "evaluate", lambda *a, **k: pytest.fail("evaluate called"))
     split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
     assert len(calls) == len(c.gates) == 5
@@ -319,9 +319,9 @@ def test_induced_split_carries_only_symmetry_and_commutant(action, rng, monkeypa
     c = random_circuit(2, 3, rng, n_fixed=2)
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
     sym.commutant  # solved before counting
-    apply_local, batches = circuit.apply_local, []
-    monkeypatch.setattr(circuit, "apply_local",
-                        lambda psi, *a: batches.append(np.shape(psi)) or apply_local(psi, *a))
+    apply_gate, batches = circuit.apply_gate, []
+    monkeypatch.setattr(circuit, "apply_gate",
+                        lambda psi, *a: batches.append(np.shape(psi)) or apply_gate(psi, *a))
     monkeypatch.setattr(liealg, "skew_basis", lambda d: pytest.fail("skew_basis called"))
     tangent.induced_algebra_split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
     # under left the action point is the output, so the batch meets no gate
