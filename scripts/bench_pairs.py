@@ -2,10 +2,10 @@
 """Alternating perfbench pairs of two source checkouts, summarised as JSON.
 
     python scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
-        --runs estimator-sweep:401:10 --runs entangle-opt:501:5 [--seconds 30]
+        --runs estimator-sweep:401:10 --runs entangle-opt:501:5
 
-Per ``--runs WORKLOAD:FIRST_SEED:PAIRS`` seed, perfbench runs in both checkouts
-(parent first on even pairs), then a traced pair; ties count for neither side.
+Per ``--runs WORKLOAD:FIRST_SEED:PAIRS`` seed, perfbench runs ``run_seconds``
+(BENCHMARK.json) in both checkouts, parent first on even pairs; then a traced pair.
 """
 import argparse
 import json
@@ -50,10 +50,10 @@ def main(argv=None):
     for name in ("--parent", "--change", "--out"):
         parser.add_argument(name, type=Path, required=True)
     parser.add_argument("--runs", action="append", required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--description", default="")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     pairs, env = [], {}
     for run in args.runs:
         workload, first, count = run.split(":")
@@ -61,14 +61,14 @@ def main(argv=None):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"workload": workload, "seed": seed, "pair": i, "first": order[0]}
             for side in order:
-                pair[side], env = perfbench(getattr(args, side), workload, seed, args.seconds, 0)
+                pair[side], env = perfbench(getattr(args, side), workload, seed, seconds, 0)
             pairs.append(pair)
             print(json.dumps(pair), file=sys.stderr)
     workload = args.runs[0].split(":")[0]
     traced = {"command": f"python3 perfbench/run.py --workload {workload} --seed 0 "
                          "--seconds 2 --trace 1"}
     traced.update({side: perfbench(getattr(args, side), workload, 0, 2, 1)[0] for side in SIDES})
-    cmd = "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0" % args.seconds
+    cmd = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0"
     host = ", ".join(f"{key} {value}" for key, value in env.items())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     result = {"description": args.description, "command": cmd, "host": host,
