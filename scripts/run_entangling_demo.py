@@ -2,20 +2,22 @@
 """Run the built-in two-qubit maximal-entangling experiment over a sweep of
 seeds and report convergence, the final angles, and the vector potential.
 
-Writes one trace CSV per seed plus a summary table.
+Writes one trace CSV per seed plus a summary table.  Exits 0 when every
+seed converges and 4 otherwise, as ``symflow optimize`` does.
 
 Usage: python scripts/run_entangling_demo.py [--seeds N] [--outdir DIR]
        [--lr LR] [--method gd|qng|cqng]
 """
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
 from symflow import circuit, cli, natgrad, pauli, symgrad
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--outdir", default="demo_out")
@@ -28,6 +30,7 @@ def main() -> None:
 
     print(f"{'seed':>4} {'iters':>6} {'cost':>12} {'|theta3 - pi|':>14} "
           f"{'|<X1>|':>10} {'|<Z2>|':>10}")
+    converged = 0
     for seed in range(args.seeds):
         prob = cli.entangling_problem(seed)
         psi0 = prob.initial_state()
@@ -37,6 +40,7 @@ def main() -> None:
             sym=prob.symmetry, seed=seed,
         )
         (outdir / f"trace_seed{seed}.csv").write_text(trace.to_csv())
+        converged += trace.converged
         final = trace.final
         pre = cli.pre_entangler_circuit(prob.circuit)
         x1 = circuit.cost(pre, final.theta, psi0, pauli.parse_pauli_sum("XI", 2))
@@ -48,7 +52,8 @@ def main() -> None:
         np.savetxt(outdir / f"vector_potential_seed{seed}.csv", a, delimiter=",")
 
     print(f"\ntraces and final vector potentials written to {outdir}/")
+    return 0 if converged == args.seeds else 4
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

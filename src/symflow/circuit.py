@@ -14,9 +14,10 @@ states, so everything downstream is a matrix product on its result.
 The frame of the symmetry tangents comes from one SVD of their real
 embedding, cut by the ``nummat`` rank rule: it gives an orthonormal
 frame of their span, its rank and the pseudo-inverse of their Gram matrix.
-:func:`apply_gate` applies a gate whose generator's Pauli words commute as
-rotations cos a + i sin a P, each word P a signed permutation of the
-amplitudes (``pauli.word_action``); others take the eigen route (:func:`gate_unitary`).
+A gate's generator is one cached table of full-register Pauli words P, each a
+signed permutation of the amplitudes (:func:`gate_words`): :func:`kappa` applies
+kappa = i * scale * H from it, and :func:`apply_gate` a gate whose words commute
+as rotations cos a + i sin a P; others take the eigen route (:func:`gate_unitary`).
 A cost spec (:class:`ExpectationCost`, :class:`SquaredSumCost`) checks its
 observables once, holds their matrices, and maps psi to the cost and its
 covector g, dC = 2 Re <g|d psi>.
@@ -120,25 +121,11 @@ def gate_angle(g: Gate, theta: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def generator_matrix(generator: pauli.PauliSum) -> np.ndarray:
-    """Dense matrix of a gate generator, built once per distinct generator
-    (at most ``SPECTRUM_CACHE_SIZE`` of them); the array is read-only."""
-    mat = pauli.to_matrix(generator)
-    mat.setflags(write=False)
-    return mat
-
-
-def gate_skew_generator(g: Gate) -> np.ndarray:
-    """Local skew-Hermitian generator i * scale * H."""
-    return 1j * g.scale * generator_matrix(g.generator)
-
-
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def generator_spectrum(generator: pauli.PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian gate generator, computed
     once per distinct generator (the cache holds at most
     ``SPECTRUM_CACHE_SIZE`` of them); the arrays are read-only."""
-    evals, vecs = np.linalg.eigh(generator_matrix(generator))
+    evals, vecs = np.linalg.eigh(pauli.to_matrix(generator))
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return evals, vecs
@@ -172,30 +159,33 @@ def apply_local(state: Statevector, mat: np.ndarray, wires, n: int) -> Statevect
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _word_factors(generator: pauli.PauliSum, wires: tuple[int, ...], n: int):
-    """(h_w, src, phase) per full-register word P_w of sum_w h_w P_w; None if two anticommute."""
+def gate_words(generator: pauli.PauliSum, wires: tuple[int, ...], n: int):
+    """(word, h_w, src, phase) per full-register word of sum_w h_w P_w; whether all commute."""
     terms = pauli.embed(generator, wires, n).terms
-    if pauli.commuting([w for w, _ in terms]):
-        return tuple((h.real, *pauli.word_action(w)) for w, h in terms)
+    return (tuple((w, h.real, *pauli.word_action(w)) for w, h in terms),
+            pauli.commuting([w for w, _ in terms]))
 
 
 def apply_gate(psi: Statevector, g: Gate, theta, n: int, undone: bool = False) -> Statevector:
     """Gate g, or its inverse if ``undone``, on an n-qubit state or (B, 2^n) batch:
     prod_w exp(i scale angle h_w P_w), one gather per commuting word; else eigen route."""
-    factors = _word_factors(g.generator, g.wires, n)
-    if factors is None:
+    words, commuting = gate_words(g.generator, g.wires, n)
+    if not commuting:
         u = gate_unitary(g, theta)
         return apply_local(psi, u.conj().T if undone else u, g.wires, n)
     angle = g.scale * gate_angle(g, theta) * (-1.0 if undone else 1.0)
-    for h, src, phase in factors:
+    for _, h, src, phase in words:
         psi = cos(angle * h) * psi + (1j * sin(angle * h) * phase) * psi.take(src, axis=-1)
     return psi
 
 
-def embed_operator(mat: np.ndarray, wires, n: int) -> np.ndarray:
-    """Promote a local operator to the full 2^n-dimensional register: its
-    rows are the operator applied to every basis state."""
-    return apply_local(np.eye(2**n, dtype=complex), mat, wires, n).T
+def kappa(psi: Statevector, g: Gate, n: int) -> Statevector:
+    """kappa psi = i scale sum_w h_w P_w psi on an n-qubit state or (B, 2^n)
+    batch, one gather per word of the gate's table."""
+    out = np.zeros(np.shape(psi), dtype=complex)
+    for _, h, src, phase in gate_words(g.generator, g.wires, n)[0]:
+        out += (1j * g.scale * h * phase) * psi.take(src, axis=-1)
+    return out
 
 
 def _check_states(c: CircuitSpec, states) -> np.ndarray:
@@ -254,10 +244,8 @@ def effective_generator(c: CircuitSpec, theta, j: int, side: str = "right") -> n
     if side not in ends:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     k = _gate_index(c, j)
-    g = c.gates[k]
     rows = apply_gates(c, theta, np.eye(c.dim, dtype=complex), ends[side], k)
-    rows = apply_local(rows, gate_skew_generator(g), g.wires, c.n_qubits)
-    return apply_gates(c, theta, rows, k, ends[side]).T
+    return apply_gates(c, theta, kappa(rows, c.gates[k], c.n_qubits), k, ends[side]).T
 
 
 def state_partial(c: CircuitSpec, theta, j: int, psi0: Statevector) -> Statevector:
@@ -273,9 +261,7 @@ def state_partial(c: CircuitSpec, theta, j: int, psi0: Statevector) -> Statevect
         if 0 <= j < c.n_params:
             return np.zeros(c.dim, dtype=complex)
         raise
-    g = c.gates[k]
-    psi = apply_gates(c, theta, psi0, 0, k)
-    psi = apply_local(psi, gate_skew_generator(g), g.wires, c.n_qubits)
+    psi = kappa(apply_gates(c, theta, psi0, 0, k), c.gates[k], c.n_qubits)
     return apply_gates(c, theta, psi, k)
 
 
@@ -334,7 +320,9 @@ def evaluate(c: CircuitSpec, theta, psi0: Statevector, generators=(),
     """
     action_point(c, action)  # rejects an unknown action
     theta = check_theta(c, theta)
-    psi0 = _check_states(c, psi0).reshape(c.dim)
+    psi0 = _check_states(c, psi0)
+    if psi0.ndim != 1:
+        raise ValueError(f"psi0 has shape {psi0.shape}, expected ({c.dim},)")
     z = np.asarray(generators, dtype=complex)
     if z.size and z.shape[1:] != (c.dim, c.dim):
         raise ValueError("symmetry generators do not match the state dimension")
@@ -349,7 +337,7 @@ def evaluate(c: CircuitSpec, theta, psi0: Statevector, generators=(),
     for g in c.gates:
         batch[:live] = apply_gate(batch[:live], g, theta, c.n_qubits)
         if g.param is not None:
-            batch[live] = apply_local(batch[0], gate_skew_generator(g), g.wires, c.n_qubits)
+            batch[live] = kappa(batch[0], g, c.n_qubits)
             live += 1
     psi = batch[0]
     partials = np.zeros((c.n_params, c.dim), dtype=complex)
@@ -439,10 +427,9 @@ def cost_gradient(c: CircuitSpec, theta, psi0: Statevector,
 
 def dla(c: CircuitSpec) -> liealg.Subspace:
     """Dynamical Lie algebra: the closure of the embedded gate generators."""
-    gens = [
-        embed_operator(gate_skew_generator(g), g.wires, c.n_qubits) for g in c.gates
-    ]
-    return liealg.lie_closure(gens)
+    n = c.n_qubits
+    return liealg.lie_closure([1j * g.scale * pauli.to_matrix(pauli.embed(g.generator, g.wires, n))
+                               for g in c.gates])
 
 
 def basis_state(label: str) -> Statevector:

@@ -10,9 +10,11 @@ word is (|0> a + |1> b_l) / sqrt 2, so <X (x) B>_l = Re <a|B|b_l> and
 b_l from the control point to the measurement point.
 
 The overlaps omega_{bj} control z_b's words at the action point and measure
-gate j's generator at gate j (or exchange the roles), contracting with
-i * chi_l.  The derivatives m_a control z_a's words at the action point and
-measure M at the output: m_a = 2 Re sum_l chi_l <a|M|b_l>, the Y reading.
+-scale * H = i kappa (``circuit.kappa``) at gate j, or control kappa's own
+words chi_w = i * scale * h_w (``circuit.gate_words``) at gate j and measure
+i z_b, contracting with i * chi_l.  The derivatives m_a control z_a's words
+at the action point and measure M at the output:
+m_a = 2 Re sum_l chi_l <a|M|b_l>, the Y reading.
 """
 from __future__ import annotations
 
@@ -61,19 +63,19 @@ def _operand(x, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _plan(c: circuit.CircuitSpec, theta, j: int, z_b, action: str, decompose_generator: bool):
     """Checked theta and z_b, the gate of parameter j, the decomposed operator,
-    the measured B as (local matrix, wires), and the gate positions of the
+    the measured B as a map of the row, and the gate positions of the
     controlled word and of the measurement: z_b at the action point and
-    -scale * H at gate j, exchanged (B = i z_b) with ``decompose_generator``."""
+    B = i kappa at gate j, exchanged (B = i z_b) with ``decompose_generator``."""
     theta = circuit.check_theta(c, theta)
     z_b = require_skew_hermitian(_operand(z_b, (c.dim, c.dim), "z_b"), name="symmetry generator")
     point, k = circuit.action_point(c, action), circuit._gate_index(c, j)
-    gate = c.gates[k]
+    gate, n = c.gates[k], c.n_qubits
     if not decompose_generator:
-        b = (-gate.scale * circuit.generator_matrix(gate.generator), gate.wires)
-        return theta, z_b, gate, pauli.unitary_decomposition(z_b), b, (point, k)
-    kappa = circuit.embed_operator(circuit.gate_skew_generator(gate), gate.wires, c.n_qubits)
-    b = (1j * z_b, tuple(range(c.n_qubits)))
-    return theta, z_b, gate, pauli.unitary_decomposition(kappa), b, (k, point)
+        return (theta, z_b, gate, pauli.unitary_decomposition(z_b),
+                lambda row: 1j * circuit.kappa(row, gate, n), (point, k))
+    words = circuit.gate_words(gate.generator, gate.wires, n)[0]
+    kappa_words = tuple((1j * gate.scale * h, w) for w, h, _, _ in words)
+    return theta, z_b, gate, pauli.UnitaryDecomposition(n, kappa_words), (1j * z_b).dot, (k, point)
 
 
 def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: str,
@@ -100,14 +102,13 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
 
 def _branch_overlaps(c: circuit.CircuitSpec, theta, psi0, decomposition, b, control: int,
                      measure: int) -> tuple[np.ndarray, np.ndarray]:
-    """chi_l and <a|B|b_l>, words controlled at ``control`` and B = (local
-    matrix, wires) measured at ``measure``: X reading + i * Y reading."""
+    """chi_l and <a|B|b_l>, words controlled at ``control`` and B, a map of
+    the row, measured at ``measure``: X reading + i * Y reading."""
     x = circuit.apply_gates(c, theta, psi0, 0, control)
     words = [ph * x[src] for src, ph in (pauli.word_action(w) for _, w in decomposition.terms)]
     rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
-    b_on_a = circuit.apply_local(rows[0], *b, c.n_qubits)
     chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
-    return chi, rows[1:] @ b_on_a.conj()
+    return chi, rows[1:] @ b(rows[0]).conj()
 
 
 def hadamard_terms(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str,
@@ -133,7 +134,7 @@ def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
     controlled at the action point, the Hermitian M measured at the output."""
     psi0 = _operand(psi0, (c.dim,), "psi0")
     z_a = require_skew_hermitian(_operand(z_a, (c.dim, c.dim), "z_a"), name="symmetry generator")
-    b = (circuit.ExpectationCost(m).matrices[0], tuple(range(c.n_qubits)))
+    b = circuit.ExpectationCost(m).matrices[0].dot
     chi, overlaps = _branch_overlaps(c, theta, psi0, pauli.unitary_decomposition(z_a), b,
                                      circuit.action_point(c, action), len(c.gates))
     return float(2.0 * np.real(chi @ overlaps))

@@ -145,13 +145,18 @@ def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostS
     Records one row per visited point (including the final one reached by
     the last step).  The driving gradient is the plain gradient for gd and
     qng and the covariant gradient for cqng.  ``monitor(theta)`` returns
-    the named extra columns of a row.
+    the named extra columns of a row.  As in ``cli.check_optimizer``, lr must
+    be finite and > 0, max_iter an int >= 0 and tol finite and >= 0.
     """
     if method not in ("gd", "qng", "cqng"):
         raise ValueError(f"unknown method {method!r}")
     if method == "cqng" and sym is None:
         raise ValueError("cqng requires a symmetry")
     _check_lr(lr)
+    if not isinstance(max_iter, (int, np.integer)) or isinstance(max_iter, bool) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     theta = sample_theta0(c.n_params, seed) if theta0 is None else \
         circuit.check_theta(c, theta0).copy()
     trace = OptTrace()

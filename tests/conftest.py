@@ -152,7 +152,7 @@ def dense_branch_overlaps(c, theta, psi0, decomposition, b, control: int, measur
     x = circuit.apply_gates(c, theta, psi0, 0, control)
     words = [pauli.word_matrix(w) @ x for _, w in decomposition.terms]
     rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
-    b_on_a = circuit.apply_local(rows[0], *b, c.n_qubits)
+    b_on_a = b(rows[0])
     chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
     return chi, rows[1:] @ b_on_a.conj()
 

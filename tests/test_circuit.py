@@ -321,6 +321,13 @@ def test_theta_validation():
         circuit.apply(c, [0.1, np.nan, 0.2], circuit.basis_state("0"))
 
 
+def test_evaluate_names_the_psi0_shape(rng):
+    c = random_circuit(2, 2, rng)
+    batch = np.stack([random_state(2, rng), random_state(2, rng)])
+    with pytest.raises(ValueError, match=r"psi0 has shape \(2, 4\), expected \(4,\)"):
+        circuit.evaluate(c, [0.1, 0.2], batch)
+
+
 def kernel_case_gate(kind: str, n: int, rng) -> circuit.Gate:
     """A gate on n qubits of one generator kind for the kernel property."""
     k = {"identity": int(rng.integers(1, n + 1)), "word": int(rng.integers(1, n + 1)),
@@ -343,10 +350,12 @@ def kernel_case_gate(kind: str, n: int, rng) -> circuit.Gate:
        undone=st.booleans(), batch=st.sampled_from([None, 1, 3]))
 def test_apply_gate_matches_local_unitary(seed, n, kind, undone, batch):
     """Word rotations as signed permutations, and the eigen route of a
-    generator with anticommuting words, against the dense local unitary."""
+    generator with anticommuting words, against the dense local unitary;
+    kappa psi and the exchanged-role decomposition of kappa from the same
+    word table, against the dense kappa."""
     rng = np.random.default_rng(seed)
     g = kernel_case_gate(kind, n, rng)
-    assert (circuit._word_factors(g.generator, g.wires, n) is None) == (kind == "anticommuting")
+    assert circuit.gate_words(g.generator, g.wires, n)[1] == (kind != "anticommuting")
     theta = rng.uniform(-2 * np.pi, 2 * np.pi, 1)
     psi = (random_state(n, rng) if batch is None
            else np.stack([random_state(n, rng) for _ in range(batch)]))
@@ -355,6 +364,16 @@ def test_apply_gate_matches_local_unitary(seed, n, kind, undone, batch):
     got = circuit.apply_gate(psi, g, theta, n, undone)
     assert got.shape == psi.shape
     assert np.max(np.abs(got - want)) < 1e-14
+    dense_kappa = 1j * g.scale * pauli.to_matrix(pauli.embed(g.generator, g.wires, n))
+    got = circuit.kappa(psi, g, n)
+    assert got.shape == psi.shape
+    assert np.max(np.abs(got - psi @ dense_kappa.T)) < 1e-14
+    c = circuit.CircuitSpec(n, (g,), 1)
+    z = 1j * pauli.word_matrix("Z" * n)
+    words = estimators._plan(c, theta, 0, z, "left", decompose_generator=True)[3].terms
+    dense = pauli.unitary_decomposition(dense_kappa).terms
+    assert [w for _, w in words] == [w for _, w in dense]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(words, dense)) < 1e-15
 
 
 def test_word_action_is_the_word_matrix():
@@ -363,14 +382,19 @@ def test_word_action_is_the_word_matrix():
         assert np.array_equal(pauli.word_matrix(word), phase[:, None] * np.eye(8)[src])
 
 
-def test_embed_operator_against_kron(rng):
+def test_apply_local_wire_order_against_kron(rng):
+    """The eigen route's wire order: apply_local on the identity's rows
+    embeds a local operator as its kron with the identity."""
+    def embedded(mat, wires):
+        return circuit.apply_local(np.eye(4, dtype=complex), mat, wires, 2).T
+
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(circuit.embed_operator(a, (1,), 2), np.kron(np.eye(2), a))
-    assert np.allclose(circuit.embed_operator(a, (0,), 2), np.kron(a, np.eye(2)))
+    assert np.allclose(embedded(a, (1,)), np.kron(np.eye(2), a))
+    assert np.allclose(embedded(a, (0,)), np.kron(a, np.eye(2)))
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     # swapped wires equal conjugation by SWAP
     swap = np.eye(4)[[0, 2, 1, 3]]
-    assert np.allclose(circuit.embed_operator(b, (1, 0), 2), swap @ b @ swap)
+    assert np.allclose(embedded(b, (1, 0)), swap @ b @ swap)
 
 
 def test_dla_matches_closure():

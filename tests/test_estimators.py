@@ -204,7 +204,8 @@ def test_branch_form_identity_words_edge_gates_and_descending_wires(rng):
         circuit.rotation("ZY", (2, 1), param=2),
     ), 3)
     z = random_skew(8, rng) + 0.7j * np.eye(8)
-    kappa = circuit.embed_operator(circuit.gate_skew_generator(c.gates[2]), (1, 0), 3)
+    g = c.gates[2]
+    kappa = 1j * g.scale * pauli.to_matrix(pauli.embed(g.generator, g.wires, 3))
     for operator in (z, kappa):
         assert "III" in [w for _, w in pauli.unitary_decomposition(operator).terms]
     assert estimators._controlled_word_gate("III") is None

@@ -191,6 +191,18 @@ def test_steps_and_optimize_reject_bad_lr(rng, lr):
             call()
 
 
+@pytest.mark.parametrize("bad", [{"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
+                                 {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")}],
+                         ids=["max_iter=-1", "max_iter=2.5", "max_iter=True", "tol=nan",
+                              "tol=-1", "tol=inf"])
+def test_optimize_rejects_bad_max_iter_and_tol(rng, bad):
+    c = random_circuit(1, 2, rng)
+    cost = circuit.ExpectationCost(pauli.parse_pauli_sum("Z", 1))
+    settings = {"max_iter": 3, "tol": 1e-9, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        natgrad.optimize("gd", c, [0.1, 0.2], circuit.basis_state("0"), cost, **settings)
+
+
 def test_theta0_sampling_deterministic():
     a = natgrad.sample_theta0(4, 11)
     b = natgrad.sample_theta0(4, 11)

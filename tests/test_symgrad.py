@@ -204,7 +204,7 @@ def test_commuting_generator_closed_form(rng):
         circuit.rotation("IZ", (0, 1), angle=0.4),
     ), 2)
     psi0 = random_state(2, rng)
-    kappas = [circuit.embed_operator(circuit.gate_skew_generator(g), g.wires, 2)
+    kappas = [1j * g.scale * pauli.to_matrix(pauli.embed(g.generator, g.wires, 2))
               for g in c.gates[:2]]
     for action in ("theta", "left"):
         sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
