@@ -6,6 +6,8 @@
 
 Per ``--runs WORKLOAD:FIRST_SEED:PAIRS`` seed, perfbench runs ``run_seconds``
 (BENCHMARK.json) in both checkouts, parent first on even pairs; then a traced pair.
+A run that exits non-zero stops the pairs: the finished ones are written with a
+``failed_run`` entry, and the script exits 1.
 """
 import argparse
 import json
@@ -30,18 +32,25 @@ def perfbench(root, workload, seed, seconds, trace):
 
 
 def summarize(pairs, better):
-    """Per workload and metric (``better`` maps each to "higher" or "lower"):
-    each side's q25, median and q75, and the pairs the change won."""
+    """Per workload, each side's failed share of ops (sum failed / sum attempted)
+    and whether every run was correct; per metric (``better`` maps each to
+    "higher" or "lower"), each side's q25, median and q75, and the pairs the
+    change won."""
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
+        runs = {s: [r[s] for r in rows] for s in SIDES}
+        summary[workload] = {
+            "failed_share": {s: sum(r["failed"] for r in v) / sum(r["attempted"] for r in v)
+                             for s, v in runs.items()},
+            "all_correct": {s: all(r["correct"] for r in v) for s, v in runs.items()}}
         for name, sense in better.items():
             vals = {s: np.array([r[s]["metrics"][name]["value"] for r in rows]) for s in SIDES}
             gain = (vals["change"] - vals["parent"]) * (1 if sense == "higher" else -1)
             entry = {s: dict(zip(("q25", "median", "q75"), np.quantile(v, [0.25, 0.5, 0.75])
                                  .tolist())) for s, v in vals.items()}
             entry["change_better_pairs"] = f"{int(np.sum(gain > 0))}/{len(rows)}"
-            summary.setdefault(workload, {})[name] = entry
+            summary[workload][name] = entry
     return summary
 
 
@@ -54,27 +63,36 @@ def main(argv=None):
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    pairs, env = [], {}
-    for run in args.runs:
-        workload, first, count = run.split(":")
-        for i, seed in enumerate(range(int(first), int(first) + int(count))):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"workload": workload, "seed": seed, "pair": i, "first": order[0]}
-            for side in order:
-                pair[side], env = perfbench(getattr(args, side), workload, seed, seconds, 0)
-            pairs.append(pair)
-            print(json.dumps(pair), file=sys.stderr)
-    workload = args.runs[0].split(":")[0]
-    traced = {"command": f"python3 perfbench/run.py --workload {workload} --seed 0 "
-                         "--seconds 2 --trace 1"}
-    traced.update({side: perfbench(getattr(args, side), workload, 0, 2, 1)[0] for side in SIDES})
+    pairs, env, traced, current, failed_run = [], {}, {}, {}, None
+    try:
+        for run in args.runs:
+            workload, first, count = run.split(":")
+            for i, seed in enumerate(range(int(first), int(first) + int(count))):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"workload": workload, "seed": seed, "pair": i, "first": order[0]}
+                for side in order:
+                    current = {"workload": workload, "seed": seed, "side": side}
+                    pair[side], env = perfbench(getattr(args, side), workload, seed, seconds, 0)
+                pairs.append(pair)
+                print(json.dumps(pair), file=sys.stderr)
+        workload = args.runs[0].split(":")[0]
+        traced["command"] = (f"python3 perfbench/run.py --workload {workload} --seed 0 "
+                             "--seconds 2 --trace 1")
+        for side in SIDES:
+            current = {"workload": workload, "seed": 0, "side": side, "trace": 1}
+            traced[side] = perfbench(getattr(args, side), workload, 0, 2, 1)[0]
+    except subprocess.CalledProcessError as exc:
+        failed_run = {**current, "exit_code": exc.returncode, "stderr_tail": exc.stderr[-2000:]}
     cmd = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0"
     host = ", ".join(f"{key} {value}" for key, value in env.items())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     result = {"description": args.description, "command": cmd, "host": host,
               "summary": summarize(pairs, better), "pairs": pairs, "traced": traced}
+    if failed_run is not None:
+        result["failed_run"] = failed_run
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 1 if failed_run is not None else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -228,22 +228,25 @@ def build_unitary(c: CircuitSpec, theta) -> np.ndarray:
     return apply(c, theta, np.eye(c.dim, dtype=complex)).T
 
 
-def _gate_index(c: CircuitSpec, j: int) -> int:
-    for k, g in enumerate(c.gates):
-        if g.param == j:
-            return k
-    raise ValueError(f"no gate is controlled by parameter {j}")
+def _gate_index(c: CircuitSpec, j) -> int | None:
+    """Position of the gate that parameter j drives, None if it drives none;
+    ValueError unless j is an integer in 0..n_params-1."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < c.n_params:
+        raise ValueError(f"parameter index {j!r} is not an integer in 0..{c.n_params - 1}")
+    return next((k for k, g in enumerate(c.gates) if g.param == j), None)
 
 
 def effective_generator(c: CircuitSpec, theta, j: int, side: str = "right") -> np.ndarray:
     """Skew-Hermitian generator of the parameter-j direction of change,
     pulled to the right (U^dag dU) or left ((dU) U^dag) of the circuit: its
     columns are the basis states carried from that end to the gate, hit by
-    kappa and carried back."""
+    kappa and carried back (zero if j drives no gate)."""
     ends = {"right": 0, "left": len(c.gates)}
     if side not in ends:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    k = _gate_index(c, j)
+    theta, k = check_theta(c, theta), _gate_index(c, j)
+    if k is None:
+        return np.zeros((c.dim, c.dim), dtype=complex)
     rows = apply_gates(c, theta, np.eye(c.dim, dtype=complex), ends[side], k)
     return apply_gates(c, theta, kappa(rows, c.gates[k], c.n_qubits), k, ends[side]).T
 
@@ -254,13 +257,9 @@ def state_partial(c: CircuitSpec, theta, j: int, psi0: Statevector) -> Statevect
     One re-simulation per parameter; :func:`evaluate` gets every partial
     from a single sweep.  Kept as the independent reference.
     """
-    theta = check_theta(c, theta)
-    try:
-        k = _gate_index(c, j)
-    except ValueError:
-        if 0 <= j < c.n_params:
-            return np.zeros(c.dim, dtype=complex)
-        raise
+    theta, k, psi0 = check_theta(c, theta), _gate_index(c, j), _check_states(c, psi0)
+    if k is None:
+        return np.zeros(psi0.shape, dtype=complex)
     psi = kappa(apply_gates(c, theta, psi0, 0, k), c.gates[k], c.n_qubits)
     return apply_gates(c, theta, psi, k)
 

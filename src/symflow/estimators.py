@@ -1,11 +1,12 @@
 """Quantum-computer-style estimation paths, simulated exactly.
 
-Both estimators are one modified Hadamard test: decompose a skew-Hermitian
-operator z = sum_l chi_l w_l into unitary Pauli words, run one ancilla
-circuit per word (ancilla in |+>, controlled-w_l at a control point, the
-circuit up to a measurement point) and measure the ancilla together with a
-Hermitian B on the system.  In branch form the state after the controlled
-word is (|0> a + |1> b_l) / sqrt 2, so <X (x) B>_l = Re <a|B|b_l> and
+Both estimators are one modified Hadamard test: split a skew-Hermitian
+operator into unitary Pauli words, z = sum_l chi_l w_l with chi_l the Pauli
+coefficients of z (``pauli.pauli_decompose``), run one ancilla circuit per
+word (ancilla in |+>, controlled-w_l at a control point, the circuit up to a
+measurement point) and measure the ancilla together with a Hermitian B on
+the system.  In branch form the state after the controlled word is
+(|0> a + |1> b_l) / sqrt 2, so <X (x) B>_l = Re <a|B|b_l> and
 <Y (x) B>_l = Im <a|B|b_l>; one batch of n-qubit rows carries a and every
 b_l from the control point to the measurement point.
 
@@ -62,29 +63,34 @@ def _operand(x, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _plan(c: circuit.CircuitSpec, theta, j: int, z_b, action: str, decompose_generator: bool):
-    """Checked theta and z_b, the gate of parameter j, the decomposed operator,
-    the measured B as a map of the row, and the gate positions of the
-    controlled word and of the measurement: z_b at the action point and
-    B = i kappa at gate j, exchanged (B = i z_b) with ``decompose_generator``."""
+    """Checked theta and z_b, the gate of parameter j (None, as is all that
+    follows, if j drives no gate), the decomposed operator, the measured B as
+    a map of the row, and the gate positions of the controlled word and of the
+    measurement: z_b at the action point and B = i kappa at gate j, exchanged
+    (B = i z_b) with ``decompose_generator``."""
     theta = circuit.check_theta(c, theta)
     z_b = require_skew_hermitian(_operand(z_b, (c.dim, c.dim), "z_b"), name="symmetry generator")
     point, k = circuit.action_point(c, action), circuit._gate_index(c, j)
+    if k is None:
+        return theta, z_b, None, None, None, None
     gate, n = c.gates[k], c.n_qubits
     if not decompose_generator:
-        return (theta, z_b, gate, pauli.unitary_decomposition(z_b),
+        return (theta, z_b, gate, pauli.pauli_decompose(z_b),
                 lambda row: 1j * circuit.kappa(row, gate, n), (point, k))
     words = circuit.gate_words(gate.generator, gate.wires, n)[0]
-    kappa_words = tuple((1j * gate.scale * h, w) for w, h, _, _ in words)
-    return theta, z_b, gate, pauli.UnitaryDecomposition(n, kappa_words), (1j * z_b).dot, (k, point)
+    kappa = pauli.PauliSum(n, tuple((w, 1j * gate.scale * h) for w, h, _, _ in words))
+    return theta, z_b, gate, kappa, (1j * z_b).dot, (k, point)
 
 
 def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: str,
                           decompose_generator: bool = False) -> list[AncillaCircuit]:
-    """One fixed-angle ancilla circuit per unitary term of the decomposed
-    operator.  By default z_b is decomposed and the gate generator is
-    measured; with ``decompose_generator`` the roles are exchanged."""
+    """One fixed-angle ancilla circuit per Pauli term of the decomposed operator
+    (none if j drives no gate).  By default z_b is decomposed and the gate
+    generator is measured; with ``decompose_generator`` the roles are exchanged."""
     theta, z_b, gate, decomposition, _, points = _plan(c, theta, j, z_b, action,
                                                        decompose_generator)
+    if gate is None:
+        return []
     if decompose_generator:
         system_obs = pauli.pauli_decompose(1j * z_b)
     else:
@@ -93,21 +99,21 @@ def build_ancilla_circuit(c: circuit.CircuitSpec, theta, j: int, z_b, action: st
     before, after = (tuple(_shift_gate(g, theta, inv) for g, inv in circuit.segment(c, *ends))
                      for ends in ((0, points[0]), points))
     out = []
-    for chi, word in decomposition.terms:
+    for word, chi in decomposition.terms:
         ctrl = _controlled_word_gate(word)
         gates = before + ((ctrl,) if ctrl is not None else ()) + after
         out.append(AncillaCircuit(circuit.CircuitSpec(c.n_qubits + 1, gates, 0), observable, chi))
     return out
 
 
-def _branch_overlaps(c: circuit.CircuitSpec, theta, psi0, decomposition, b, control: int,
-                     measure: int) -> tuple[np.ndarray, np.ndarray]:
+def _branch_overlaps(c: circuit.CircuitSpec, theta, psi0, decomposition: pauli.PauliSum, b,
+                     control: int, measure: int) -> tuple[np.ndarray, np.ndarray]:
     """chi_l and <a|B|b_l>, words controlled at ``control`` and B, a map of
     the row, measured at ``measure``: X reading + i * Y reading."""
     x = circuit.apply_gates(c, theta, psi0, 0, control)
-    words = [ph * x[src] for src, ph in (pauli.word_action(w) for _, w in decomposition.terms)]
+    words = [ph * x[src] for src, ph in (pauli.word_action(w) for w, _ in decomposition.terms)]
     rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
-    chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
+    chi = np.array([chi for _, chi in decomposition.terms], dtype=complex)
     return chi, rows[1:] @ b(rows[0]).conj()
 
 
@@ -117,6 +123,8 @@ def hadamard_terms(c: circuit.CircuitSpec, theta, j: int, z_b, psi0, action: str
     :func:`build_ancilla_circuit`, in its order, in branch form."""
     psi0 = _operand(psi0, (c.dim,), "psi0")
     theta, _, _, decomposition, b, points = _plan(c, theta, j, z_b, action, decompose_generator)
+    if points is None:
+        return np.zeros(0, dtype=complex), np.zeros(0)
     chi, overlaps = _branch_overlaps(c, theta, psi0, decomposition, b, *points)
     return chi, np.real(overlaps)
 
@@ -134,7 +142,9 @@ def insertion_m(c: circuit.CircuitSpec, theta, psi0, m: pauli.PauliSum, z_a,
     controlled at the action point, the Hermitian M measured at the output."""
     psi0 = _operand(psi0, (c.dim,), "psi0")
     z_a = require_skew_hermitian(_operand(z_a, (c.dim, c.dim), "z_a"), name="symmetry generator")
+    if m.n_qubits != c.n_qubits:
+        raise ValueError(f"M acts on {m.n_qubits} qubit(s), the circuit on {c.n_qubits}")
     b = circuit.ExpectationCost(m).matrices[0].dot
-    chi, overlaps = _branch_overlaps(c, theta, psi0, pauli.unitary_decomposition(z_a), b,
+    chi, overlaps = _branch_overlaps(c, theta, psi0, pauli.pauli_decompose(z_a), b,
                                      circuit.action_point(c, action), len(c.gates))
     return float(2.0 * np.real(chi @ overlaps))

@@ -1,6 +1,7 @@
-"""Pauli-word sums: parsing, formatting, matrix construction, trace
-projection, and decomposition of skew-Hermitian operators into unitary
-Pauli terms.
+"""Pauli-word sums: parsing, formatting, matrix construction and trace
+projection.  The projection of a skew-Hermitian z, :func:`pauli_decompose`,
+is its unitary decomposition z = sum_l chi_l w_l into Pauli words w_l with
+imaginary chi_l = tr(w_l z) / d.
 
 Text grammar: ``term (("+"|"-") term)*`` with ``term = [coeff ("*")?] word``,
 ``coeff`` a real literal optionally suffixed by ``i``/``j`` (bare ``i``
@@ -14,7 +15,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .nummat import ContractViolation, require_finite, require_skew_hermitian
+from .nummat import require_finite
 
 COEFF_PRUNE_TOL = 1e-12
 
@@ -251,33 +252,6 @@ def pauli_decompose(m) -> PauliSum:
     # all_words is sorted, so this is the canonical, pruned term order
     kept = np.flatnonzero(np.abs(coeffs) > COEFF_PRUNE_TOL)
     return PauliSum(n, tuple((words[a], complex(coeffs[a])) for a in kept))
-
-
-@dataclass(frozen=True)
-class UnitaryDecomposition:
-    """Skew-Hermitian operator written as sum_l chi_l * w_l with unitary
-    Pauli words w_l and purely imaginary chi_l."""
-
-    n_qubits: int
-    terms: tuple[tuple[complex, str], ...]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((2**self.n_qubits,) * 2, dtype=complex)
-        for chi, word in self.terms:
-            out += chi * word_matrix(word)
-        return out
-
-
-def unitary_decomposition(z) -> UnitaryDecomposition:
-    """Decompose a skew-Hermitian matrix into unitary Pauli words."""
-    z = require_skew_hermitian(z, name="generator")
-    herm = pauli_decompose(-1j * z)
-    terms = []
-    for word, c in herm.terms:
-        if abs(c.imag) > 1e-10:
-            raise ContractViolation("decomposition of -i*z has a complex coefficient")
-        terms.append((1j * c.real, word))
-    return UnitaryDecomposition(herm.n_qubits, tuple(terms))
 
 
 def embed(p: PauliSum, wires, n_qubits: int) -> PauliSum:

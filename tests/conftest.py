@@ -138,7 +138,7 @@ def ancilla_m(c, theta, psi0, m: pauli.PauliSum, z_a, action: str) -> float:
     readout = np.kron(pauli.word_matrix("Y"), pauli.to_matrix(m))
     phi0 = np.kron(ANCILLA_PLUS, np.asarray(psi0, dtype=complex))
     total = 0.0
-    for chi, word in pauli.unitary_decomposition(z_a).terms:
+    for word, chi in pauli.pauli_decompose(z_a).terms:
         ctrl = estimators._controlled_word_gate(word)
         layout = gates[:point] + ([ctrl] if ctrl is not None else []) + gates[point:]
         phi = circuit.apply(circuit.CircuitSpec(c.n_qubits + 1, tuple(layout), 0), [], phi0)
@@ -150,10 +150,10 @@ def dense_branch_overlaps(c, theta, psi0, decomposition, b, control: int, measur
     """``estimators._branch_overlaps`` with every word applied as its dense
     matrix, ``pauli.word_matrix(w) @ x``, in place of its signed permutation."""
     x = circuit.apply_gates(c, theta, psi0, 0, control)
-    words = [pauli.word_matrix(w) @ x for _, w in decomposition.terms]
+    words = [pauli.word_matrix(w) @ x for w, _ in decomposition.terms]
     rows = circuit.apply_gates(c, theta, np.stack([x] + words), control, measure)
     b_on_a = b(rows[0])
-    chi = np.array([chi for chi, _ in decomposition.terms], dtype=complex)
+    chi = np.array([chi for _, chi in decomposition.terms], dtype=complex)
     return chi, rows[1:] @ b_on_a.conj()
 
 
@@ -190,12 +190,7 @@ def omega_anticommutator(sym, c, theta, psi0, basis_kind: str = "vertical") -> n
         base, side = np.asarray(psi0, dtype=complex), "right"
     else:
         base, side = circuit.apply(c, theta, psi0), "left"
-    omegas = []
-    for j in range(c.n_params):
-        try:
-            omegas.append(circuit.effective_generator(c, theta, j, side))
-        except ValueError:  # parameter j drives no gate
-            omegas.append(np.zeros((c.dim, c.dim), dtype=complex))
+    omegas = [circuit.effective_generator(c, theta, j, side) for j in range(c.n_params)]
     out = np.zeros((len(z_mats), c.n_params))
     for b, z in enumerate(z_mats):
         zd = z.conj().T

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -9,9 +11,9 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def result_line(op_p50_ms, ops_per_s):
+def result_line(op_p50_ms, ops_per_s, attempted=10, failed=0, correct=True):
     """A perfbench result line with two end-to-end metrics."""
-    return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {
         "op_p50_ms": {"value": op_p50_ms, "unit": "ms"},
         "ops_per_s": {"value": ops_per_s, "unit": "1/s"}}}
 
@@ -36,3 +38,58 @@ def test_summary_quartiles_and_won_pairs():
     assert w["ops_per_s"]["parent"]["median"] == pytest.approx(1e3 / 14.0)
     assert summary["v"]["op_p50_ms"]["change_better_pairs"] == "0/1"
     assert summary["v"]["ops_per_s"]["change_better_pairs"] == "1/1"
+
+
+def test_summary_failed_share_and_correctness():
+    """Each side's failed share pools its runs' ops; one incorrect run makes
+    the side not all correct."""
+    pairs = [{"workload": "w", "seed": s, "pair": s, "first": "parent",
+              "parent": result_line(5.0, 1.0, attempted=a, failed=f),
+              "change": result_line(5.0, 1.0, attempted=3, failed=2, correct=s == 0)}
+             for s, (a, f) in enumerate([(3, 2), (6, 4), (1, 0)])]
+    summary = bench_pairs.summarize(pairs, {"op_p50_ms": "lower"})["w"]
+    assert summary["failed_share"] == {"parent": 6 / 10, "change": 6 / 9}
+    assert summary["all_correct"] == {"parent": True, "change": False}
+
+
+def run_main(tmp_path, monkeypatch, fake_perfbench, runs):
+    """bench_pairs.main with ``fake_perfbench`` in place of perfbench runs,
+    the change checkout at tmp_path; its exit code and the written JSON."""
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "op_p50_ms", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+                             "--out", str(out), "--runs", runs])
+    return code, json.loads(out.read_text())
+
+
+def test_failed_run_keeps_finished_pairs(tmp_path, monkeypatch):
+    """A run that exits non-zero ends the pairs: the finished pairs and the
+    failed run are written, and main returns non-zero."""
+    calls = []
+
+    def fake_perfbench(root, workload, seed, seconds, trace):
+        calls.append(("parent" if root.name == "parent" else "change", seed))
+        if len(calls) == 4:  # pair 1 runs the change first, then fails on the parent
+            raise subprocess.CalledProcessError(3, ["perfbench"], output="",
+                                                stderr="x" * 3000 + "Traceback: boom")
+        return result_line(5.0, 1.0, failed=seed), {"python": "3"}
+
+    code, result = run_main(tmp_path, monkeypatch, fake_perfbench, "w:7:3")
+    assert code == 1
+    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8)]
+    assert [p["seed"] for p in result["pairs"]] == [7]
+    assert result["summary"]["w"]["failed_share"] == {"parent": 0.7, "change": 0.7}
+    failed = result["failed_run"]
+    assert {k: failed[k] for k in ("workload", "seed", "side", "exit_code")} == {
+        "workload": "w", "seed": 8, "side": "parent", "exit_code": 3}
+    assert len(failed["stderr_tail"]) == 2000 and failed["stderr_tail"].endswith("boom")
+
+
+def test_all_runs_pass_exits_zero(tmp_path, monkeypatch):
+    code, result = run_main(tmp_path, monkeypatch,
+                            lambda *args: (result_line(5.0, 1.0), {"python": "3"}), "w:0:2")
+    assert code == 0
+    assert "failed_run" not in result
+    assert len(result["pairs"]) == 2 and set(result["traced"]) == {"command", "parent", "change"}

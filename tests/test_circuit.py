@@ -7,6 +7,7 @@ from conftest import (
     cost_partial_commutator,
     random_circuit,
     random_observable,
+    random_skew,
     random_state,
     random_word,
     single_qubit_example,
@@ -157,10 +158,16 @@ def test_effective_generator_single_gate_sides_agree(rng):
 
 def test_effective_generator_errors(rng):
     c = single_qubit_example()
+    theta = [0.1, 0.2, 0.3]
     with pytest.raises(ValueError):
-        circuit.effective_generator(c, [0.1, 0.2, 0.3], 5, "right")
-    with pytest.raises(ValueError):
-        circuit.effective_generator(c, [0.1, 0.2, 0.3], 0, "middle")
+        circuit.effective_generator(c, theta, 0, "middle")
+    # a parameter index outside 0..p-1, or not an integer, is rejected on every route
+    for j in (5, 3, -1, 1.0, True, "1"):
+        for call in (lambda: circuit.effective_generator(c, theta, j, "right"),
+                     lambda: circuit.state_partial(c, theta, j, PLUS),
+                     lambda: estimators.hadamard_omega(c, theta, j, 1j * Z, PLUS, "theta")):
+            with pytest.raises(ValueError, match="parameter index"):
+                call()
 
 
 def test_left_equals_conjugated_right(rng):
@@ -296,9 +303,22 @@ def test_cost_partial_commuting_observable(rng):
 
 
 def test_unreferenced_param_gives_zero_tangent():
+    """A parameter that drives no gate has zero derivative on every route."""
     c = circuit.CircuitSpec(1, (circuit.rotation("X", (0,), param=0),), 2)
-    dpsi = circuit.state_partial(c, [0.1, 0.2], 1, circuit.basis_state("0"))
+    theta, psi0 = [0.1, 0.2], circuit.basis_state("0")
+    dpsi = circuit.state_partial(c, theta, 1, psi0)
     assert np.max(np.abs(dpsi)) == 0.0
+    assert np.max(np.abs(circuit.evaluate(c, theta, psi0).partials[1])) == 0.0
+    for side in ("right", "left"):
+        assert np.array_equal(circuit.effective_generator(c, theta, 1, side), np.zeros((2, 2)))
+    for action in ("theta", "left"):
+        for decompose_generator in (False, True):
+            args = (c, theta, 1, 1j * Z, psi0, action, decompose_generator)
+            chi, terms = estimators.hadamard_terms(*args)
+            assert chi.shape == terms.shape == (0,)
+            assert estimators.hadamard_omega(*args) == 0.0
+            assert estimators.build_ancilla_circuit(c, theta, 1, 1j * Z, action,
+                                                    decompose_generator) == []
 
 
 def test_circuit_validation():
@@ -369,11 +389,12 @@ def test_apply_gate_matches_local_unitary(seed, n, kind, undone, batch):
     assert got.shape == psi.shape
     assert np.max(np.abs(got - psi @ dense_kappa.T)) < 1e-14
     c = circuit.CircuitSpec(n, (g,), 1)
-    z = 1j * pauli.word_matrix("Z" * n)
+    z = random_skew(2**n, rng)
+    assert estimators._plan(c, theta, 0, z, "left", False)[3] == pauli.pauli_decompose(z)
     words = estimators._plan(c, theta, 0, z, "left", decompose_generator=True)[3].terms
-    dense = pauli.unitary_decomposition(dense_kappa).terms
-    assert [w for _, w in words] == [w for _, w in dense]
-    assert max(abs(a - b) for (a, _), (b, _) in zip(words, dense)) < 1e-15
+    dense = pauli.pauli_decompose(dense_kappa).terms
+    assert [w for w, _ in words] == [w for w, _ in dense]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(words, dense)) < 1e-15
 
 
 def test_word_action_is_the_word_matrix():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symflow import circuit, estimators, liealg, pauli, symgrad, tangent
+from symflow.nummat import ContractViolation
 from conftest import (
     ancilla_expectation,
     ancilla_m,
@@ -207,7 +208,7 @@ def test_branch_form_identity_words_edge_gates_and_descending_wires(rng):
     g = c.gates[2]
     kappa = 1j * g.scale * pauli.to_matrix(pauli.embed(g.generator, g.wires, 3))
     for operator in (z, kappa):
-        assert "III" in [w for _, w in pauli.unitary_decomposition(operator).terms]
+        assert "III" in [w for w, _ in pauli.pauli_decompose(operator).terms]
     assert estimators._controlled_word_gate("III") is None
     theta = rng.uniform(0, 2 * np.pi, 3)
     for action in ("theta", "left"):
@@ -216,26 +217,45 @@ def test_branch_form_identity_words_edge_gates_and_descending_wires(rng):
 
 
 ZI, ZII = 1j * pauli.word_matrix("ZI"), 1j * pauli.word_matrix("ZII")
+HERMITIAN_ZI = pauli.word_matrix("ZI")
 PSI_2Q, PSI_3Q = circuit.basis_state("00"), circuit.basis_state("000")
 ZZ_OBS = pauli.parse_pauli_sum("ZZ", 2)
+NOT_SKEW = r"symmetry generator is not skew-Hermitian"
 
 
-@pytest.mark.parametrize("call, message", [
+@pytest.mark.parametrize("call, error, message", [
     (lambda c: estimators.hadamard_omega(c, [0.3, 0.4], 0, ZII, PSI_2Q, "left"),
-     r"z_b has shape \(8, 8\), expected \(4, 4\)"),
+     ValueError, r"z_b has shape \(8, 8\), expected \(4, 4\)"),
     (lambda c: estimators.hadamard_omega(c, [0.3, 0.4], 0, ZI, PSI_3Q, "left"),
-     r"psi0 has shape \(8,\), expected \(4,\)"),
+     ValueError, r"psi0 has shape \(8,\), expected \(4,\)"),
     (lambda c: estimators.build_ancilla_circuit(c, [0.3, 0.4], 0, ZII, "theta"),
-     r"z_b has shape \(8, 8\), expected \(4, 4\)"),
+     ValueError, r"z_b has shape \(8, 8\), expected \(4, 4\)"),
     (lambda c: estimators.insertion_m(c, [0.3, 0.4], PSI_2Q, ZZ_OBS, ZII, "left"),
-     r"z_a has shape \(8, 8\), expected \(4, 4\)"),
+     ValueError, r"z_a has shape \(8, 8\), expected \(4, 4\)"),
     (lambda c: estimators.insertion_m(c, [0.3, 0.4], PSI_3Q, ZZ_OBS, ZI, "theta"),
-     r"psi0 has shape \(8,\), expected \(4,\)"),
+     ValueError, r"psi0 has shape \(8,\), expected \(4,\)"),
+    (lambda c: estimators.insertion_m(c, [0.3, 0.4], PSI_2Q, pauli.parse_pauli_sum("Z", 1),
+                                      ZI, "left"),
+     ValueError, r"M acts on 1 qubit\(s\), the circuit on 2"),
+    (lambda c: estimators.insertion_m(c, [0.3, 0.4], PSI_2Q, pauli.parse_pauli_sum("ZZZ", 3),
+                                      ZI, "theta"),
+     ValueError, r"M acts on 3 qubit\(s\), the circuit on 2"),
+    (lambda c: estimators.hadamard_omega(c, [0.3, 0.4], 0, HERMITIAN_ZI, PSI_2Q, "left", True),
+     ContractViolation, NOT_SKEW),
+    (lambda c: estimators.build_ancilla_circuit(c, [0.3, 0.4], 0, HERMITIAN_ZI, "theta"),
+     ContractViolation, NOT_SKEW),
+    (lambda c: estimators.insertion_m(c, [0.3, 0.4], PSI_2Q, ZZ_OBS, HERMITIAN_ZI, "left"),
+     ContractViolation, NOT_SKEW),
 ], ids=["hadamard_omega-z_b", "hadamard_omega-psi0", "build_ancilla_circuit-z_b",
-        "insertion_m-z_a", "insertion_m-psi0"])
-def test_operand_from_another_register_rejected(call, message):
+        "insertion_m-z_a", "insertion_m-psi0", "insertion_m-m-1q", "insertion_m-m-3q",
+        "hadamard_omega-hermitian-z_b", "build_ancilla_circuit-hermitian-z_b",
+        "insertion_m-hermitian-z_a"])
+def test_operand_from_another_register_rejected(call, error, message):
+    """An operand that does not fit the circuit's register, or a symmetry
+    generator that is not skew-Hermitian, is rejected by name before any
+    gate is applied."""
     c = random_circuit(2, 2, np.random.default_rng(3))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         call(c)
 
 
@@ -258,7 +278,7 @@ def test_insertion_m_matches_y_basis_oracle(seed, n, p, n_fixed, action):
     obs = random_observable(n, rng)
     z = random_skew(2**n, rng) + 0.7j * np.eye(2**n)
     z = z / np.sqrt(liealg.trace_inner(z, z))
-    assert "I" * n in [w for _, w in pauli.unitary_decomposition(z).terms]
+    assert "I" * n in [w for w, _ in pauli.pauli_decompose(z).terms]
     got = estimators.insertion_m(c, theta, psi0, obs, z, action)
     assert abs(got - ancilla_m(c, theta, psi0, obs, z, action)) < 1e-12
     dense = on_dense_words(estimators.insertion_m, c, theta, psi0, obs, z, action)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symflow import pauli
-from symflow.nummat import ContractViolation
 
 
 PAULI = {
@@ -196,41 +195,37 @@ def test_decompose_matrix_round_trip(p):
 
 
 def test_unitary_decomposition_single_word():
-    dec = pauli.unitary_decomposition(1j * PAULI["Z"])
-    assert dec.terms == ((1j, "Z"),)
+    """A skew-Hermitian operator's Pauli sum is its unitary decomposition."""
+    assert pauli.pauli_decompose(1j * PAULI["Z"]).terms == (("Z", 1j),)
 
 
 def test_unitary_decomposition_two_terms():
     z = 1j * (PAULI["X"] + PAULI["Z"]) / np.sqrt(2)
-    dec = pauli.unitary_decomposition(z)
+    dec = pauli.pauli_decompose(z)
     assert len(dec.terms) == 2
-    assert all(abs(abs(chi) - 1 / np.sqrt(2)) < 1e-12 for chi, _ in dec.terms)
-    assert np.allclose(dec.reconstruct(), z, atol=1e-12)
+    assert all(abs(abs(chi) - 1 / np.sqrt(2)) < 1e-12 for _, chi in dec.terms)
+    assert np.allclose(pauli.to_matrix(dec), z, atol=1e-12)
 
 
 def test_unitary_decomposition_swap():
     swap = pauli.to_matrix(pauli.parse_pauli_sum("0.5*II+0.5*XX+0.5*YY+0.5*ZZ", 2))
-    dec = pauli.unitary_decomposition(1j * swap)
+    dec = pauli.pauli_decompose(1j * swap)
     assert len(dec.terms) == 4
-    assert all(chi == pytest.approx(0.5j) for chi, _ in dec.terms)
+    assert all(chi == pytest.approx(0.5j) for _, chi in dec.terms)
 
 
 def test_unitary_decomposition_terms_unitary_orthogonal(rng):
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     z = (z - z.conj().T) / 2
-    dec = pauli.unitary_decomposition(z)
-    mats = [pauli.word_matrix(w) for _, w in dec.terms]
+    dec = pauli.pauli_decompose(z)
+    assert dec.is_skew_hermitian()
+    mats = [pauli.word_matrix(w) for w, _ in dec.terms]
     for m in mats:
         assert np.allclose(m.conj().T @ m, np.eye(4), atol=1e-14)
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
             assert abs(np.trace(mats[a].conj().T @ mats[b])) < 1e-12
-    assert np.allclose(dec.reconstruct(), z, atol=1e-12)
-
-
-def test_unitary_decomposition_rejects_hermitian():
-    with pytest.raises(ContractViolation):
-        pauli.unitary_decomposition(PAULI["Z"])
+    assert np.allclose(pauli.to_matrix(dec), z, atol=1e-12)
 
 
 def test_embed():
