@@ -22,20 +22,37 @@ SIDES = ("parent", "change")
 
 
 def perfbench(root, workload, seed, seconds, trace):
-    """The final JSON line of one run, and the environment its header names."""
+    """The final JSON line of one run with the run's notes added under
+    ``notes`` (name -> text, such as ``op_p50_ms[su2]``), and the environment
+    its header names."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout.splitlines()
     header = next(line for line in out if line.startswith("# "))
-    return json.loads(out[-1]), json.loads(header.split(" env=", 1)[1])
+    result = json.loads(out[-1])
+    fields = (line.split(None, 1) for line in out[:-1] if line.startswith("  "))
+    result["notes"] = {f[0]: f[1] for f in fields if len(f) == 2 and f[0] not in result["metrics"]
+                       and f[0] != "ERROR"}
+    return result, json.loads(header.split(" env=", 1)[1])
+
+
+def compare(vals, sense):
+    """Each side's q25, median and q75 of ``vals`` (side -> values per pair),
+    and the pairs the change won in the direction ``sense``."""
+    gain = (vals["change"] - vals["parent"]) * (1 if sense == "higher" else -1)
+    entry = {s: dict(zip(("q25", "median", "q75"), np.quantile(v, [0.25, 0.5, 0.75]).tolist()))
+             for s, v in vals.items()}
+    entry["change_better_pairs"] = f"{int(np.sum(gain > 0))}/{len(gain)}"
+    return entry
 
 
 def summarize(pairs, better):
     """Per workload, each side's failed share of ops (sum failed / sum attempted)
     and whether every run was correct; per metric (``better`` maps each to
     "higher" or "lower"), each side's q25, median and q75, and the pairs the
-    change won."""
+    change won; the same for each per-kind ``op_p50_ms[kind]`` in the runs'
+    notes (lower is better)."""
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -46,11 +63,12 @@ def summarize(pairs, better):
             "all_correct": {s: all(r["correct"] for r in v) for s, v in runs.items()}}
         for name, sense in better.items():
             vals = {s: np.array([r[s]["metrics"][name]["value"] for r in rows]) for s in SIDES}
-            gain = (vals["change"] - vals["parent"]) * (1 if sense == "higher" else -1)
-            entry = {s: dict(zip(("q25", "median", "q75"), np.quantile(v, [0.25, 0.5, 0.75])
-                                 .tolist())) for s, v in vals.items()}
-            entry["change_better_pairs"] = f"{int(np.sum(gain > 0))}/{len(rows)}"
-            summary[workload][name] = entry
+            summary[workload][name] = compare(vals, sense)
+        for name in rows[0]["parent"].get("notes", {}):
+            if name.startswith("op_p50_ms["):  # the note reads "<median> over <count> ops"
+                vals = {s: np.array([float(r[s]["notes"][name].split()[0]) for r in rows])
+                        for s in SIDES}
+                summary[workload][name] = compare(vals, "lower")
     return summary
 
 

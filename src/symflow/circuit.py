@@ -411,8 +411,7 @@ def cost(c: CircuitSpec, theta, psi0: Statevector, m: CostSpec | pauli.PauliSum)
 def cost_partial(c: CircuitSpec, theta, j: int, psi0: Statevector,
                  m: CostSpec | pauli.PauliSum) -> float:
     """d C / d theta_j, entry j of :func:`cost_gradient`."""
-    if not 0 <= j < c.n_params:
-        raise ValueError(f"parameter index {j} out of range")
+    _gate_index(c, j)  # ValueError unless j is an integer in 0..p-1
     return float(cost_gradient(c, theta, psi0, m)[j])
 
 

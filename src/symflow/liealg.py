@@ -10,7 +10,8 @@ the orthonormal coordinate rows of its basis, so every projection is a
 matrix product.  Coordinates exist for d = 2**n only: ``coords``,
 ``from_coords`` and ``skew_basis`` raise ValueError for any other d.  They
 go through the tensorized Pauli transform, O(n d^2) per matrix, and build
-no basis array.
+no basis array.  The commutant is solved on the blocks of one generic
+element's eigenbasis, with the exact Pauli words that commute first.
 """
 from __future__ import annotations
 
@@ -25,7 +26,9 @@ from .nummat import (
     ContractViolation,
     GramSchmidt,
     complement_rows,
+    embed_real,
     nullspace_real,
+    orthonormal_rows,
     require_finite,
     require_skew_hermitian,
     trace_inner,  # noqa: F401  (part of this module's public surface)
@@ -33,6 +36,7 @@ from .nummat import (
 
 SUBALGEBRA_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
+CLUSTER_GAP = 1e-3  # relative eigenvalue gap that starts a commutant block (generous)
 BRACKET_CHUNK = 1 << 12  # complex entries (64 KiB) of the bracket stack built at once
 
 
@@ -175,25 +179,46 @@ def lie_closure(generators) -> Subspace:
     return subspace_from_rows(basis.rows, d)
 
 
-def _ad_matrix(ys: np.ndarray, d: int) -> np.ndarray:
-    """Real matrix of x -> ([y_1, x], ..., [y_k, x]) in fixed coordinates,
-    shape (k*d*d, d*d), for a (k, d, d) stack of y.
-
-    Built d columns at a time: a stack of all d*d basis commutators would
-    hold k*d**4 complex entries next to the result.
-    """
-    ys = ys[:, None]
-    cols = []
-    for unit_rows in np.eye(d * d).reshape(d, d, d * d):
-        e = from_coords(unit_rows, d)
-        cols.append(coords(ys @ e - e @ ys, d))
-    return np.concatenate(cols, axis=1).transpose(0, 2, 1).reshape(-1, d * d)
+def _block_brackets(ys: np.ndarray, p, q, a) -> np.ndarray:
+    """Real rows of the upper triangles of [y, E_c], one column per c, for each
+    y of the (k, d, d) stack and E_c = a_c e_pq + b_c e_qp, b_c = -conj(a_c)."""
+    c, d, b = np.arange(len(p)), ys.shape[-1], -a.conj()
+    out = np.zeros((len(p), len(ys), d, d), dtype=complex)
+    out[c, :, :, q] += a * ys[:, :, p].transpose(2, 0, 1)  # y e_pq: column p of y moved to q
+    out[c, :, :, p] += b * ys[:, :, q].transpose(2, 0, 1)
+    out[c, :, p, :] -= a * ys[:, q, :].transpose(1, 0, 2)  # e_pq y: row q of y moved to p
+    out[c, :, q, :] -= b * ys[:, p, :].transpose(1, 0, 2)
+    upper = np.triu_indices(d)
+    return embed_real(out[..., upper[0], upper[1]]).reshape(len(p), -1).T
 
 
 def commutant(sub: Subspace) -> Subspace:
-    """All of u(d) commuting with every basis element of the subspace."""
+    """All of u(d) commuting with every basis element Y_k of the subspace:
+    first the Pauli words commuting with every word of its support, as unit
+    rows, then orthonormal rows for the rest of the solved span.  A commuting
+    B is block-diagonal in the eigenbasis V of H = i sum_k r_k Y_k with
+    r_k = 2 + cos(k + 1), one block per eigenvalue cluster (split at gaps
+    above ``CLUSTER_GAP`` of the largest |eigenvalue|); the rank rule solves
+    [V^dag Y_k V, B] = 0 on an orthonormal basis E_c of the blocks.  With
+    one generator that system is zero and the blocks are the answer."""
     d = sub.dim_ambient
-    return subspace_from_rows(nullspace_real(_ad_matrix(sub.basis, d)), d)
+    letters = np.arange(d * d)[:, None] >> 2 * np.arange(pauli.qubit_count(d)) & 3  # IXYZ: 0-3
+    xs, zs = 1 * (letters % 3 > 0), 1 * (letters > 1)
+    support = np.any(np.abs(sub.rows) > pauli.COEFF_PRUNE_TOL, axis=0)
+    is_word = ~np.any((xs @ zs[support].T + zs @ xs[support].T) % 2, axis=1)  # symplectic test
+    evals, v = np.linalg.eigh(1j * np.tensordot(2 + np.cos(np.arange(sub.dim) + 1), sub.basis, 1))
+    gaps = np.diff(evals, prepend=evals[:1]) > CLUSTER_GAP * np.max(np.abs(evals), initial=0.0)
+    p, q = np.nonzero(np.equal.outer(*[np.cumsum(gaps)] * 2))
+    # E_c = (e_pq - e_qp) / sqrt(2) for p < q, i (e_pq + e_qp) / |e_pq + e_qp| for p >= q
+    a = (np.where(p < q, 1.0, 1j) * np.where(p == q, 0.5, np.sqrt(0.5)))[:, None, None]
+    null = nullspace_real(_block_brackets(v.conj().T @ sub.basis @ v, p, q, a))
+    rows = np.flatnonzero(is_word)[:, None] == np.arange(d * d)
+    if len(null) > len(rows):  # a solved span no larger than the words is the words
+        mats = a * v.T[p, :, None] * v.T[q, None, :].conj()  # a_c V e_pq V^dag
+        mats = mats - mats.conj().transpose(0, 2, 1)  # V E_c V^dag
+        mats = mats if len(null) == len(p) else np.tensordot(null, mats, 1)
+        rows = np.vstack([rows, orthonormal_rows(np.where(is_word, 0.0, coords(mats, d)))])
+    return subspace_from_rows(rows, d)
 
 
 def is_subalgebra(sub: Subspace) -> bool:

@@ -62,12 +62,6 @@ def covariant_derivative_unitary(c: circuit.CircuitSpec, theta, j: int,
     return u @ (omega - liealg.project_onto(omega, sym.generators))
 
 
-def _partial(ev: circuit.Evaluation, j: int) -> np.ndarray:
-    if not 0 <= j < len(ev.partials):
-        raise ValueError(f"parameter index {j} out of range")
-    return ev.partials[j]
-
-
 def _frame_component(onb: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a state tangent onto the span of onb rows."""
     return np.real(onb.conj() @ v) @ onb
@@ -76,16 +70,17 @@ def _frame_component(onb: np.ndarray, v: np.ndarray) -> np.ndarray:
 def equivariant_derivative_state(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                                  j: int, psi0) -> np.ndarray:
     """Projection of d_j|psi> onto the equivariant tangent frame."""
+    circuit._gate_index(c, j)  # ValueError unless j is an integer in 0..p-1
     ev = tangent.evaluate(sym, c, theta, psi0, "equivariant")
-    return _frame_component(ev.frame.onb, _partial(ev, j))
+    return _frame_component(ev.frame.onb, ev.partials[j])
 
 
 def covariant_derivative_state(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                                j: int, psi0) -> np.ndarray:
     """d_j|psi> minus its component along the vertical tangent frame."""
+    circuit._gate_index(c, j)  # ValueError unless j is an integer in 0..p-1
     ev = tangent.evaluate(sym, c, theta, psi0)
-    dpsi = _partial(ev, j)
-    return dpsi - _frame_component(ev.frame.onb, dpsi)
+    return ev.partials[j] - _frame_component(ev.frame.onb, ev.partials[j])
 
 
 def _omega(ev: circuit.Evaluation) -> np.ndarray:

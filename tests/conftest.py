@@ -163,6 +163,23 @@ def on_dense_words(estimate, *args):
         return estimate(*args)
 
 
+def ad_matrix(ys: np.ndarray, d: int) -> np.ndarray:
+    """Real matrix of x -> ([y_1, x], ..., [y_k, x]) in fixed coordinates,
+    shape (k*d*d, d*d), for a (k, d, d) stack of y; built d columns at a time."""
+    ys = ys[:, None]
+    cols = []
+    for unit_rows in np.eye(d * d).reshape(d, d, d * d):
+        e = liealg.from_coords(unit_rows, d)
+        cols.append(liealg.coords(ys @ e - e @ ys, d))
+    return np.concatenate(cols, axis=1).transpose(0, 2, 1).reshape(-1, d * d)
+
+
+def commutant_oracle(sub: liealg.Subspace) -> liealg.Subspace:
+    """The commutant as the SVD nullspace of the dense (k*d*d, d*d) ad-matrix."""
+    d = sub.dim_ambient
+    return liealg.subspace_from_rows(nummat.nullspace_real(ad_matrix(sub.basis, d)), d)
+
+
 def sqrt_pinv_psd(g) -> np.ndarray:
     """Principal square root of ``nummat.pinv_psd(g)``."""
     evals, vecs = np.linalg.eigh(nummat.pinv_psd(g))

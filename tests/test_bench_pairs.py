@@ -93,3 +93,28 @@ def test_all_runs_pass_exits_zero(tmp_path, monkeypatch):
     assert code == 0
     assert "failed_run" not in result
     assert len(result["pairs"]) == 2 and set(result["traced"]) == {"command", "parent", "change"}
+
+
+def test_run_notes_kept_and_per_kind_medians_summarized(monkeypatch):
+    """A run keeps its printed notes beside its metrics, and the summary
+    compares each op kind's median latency from them."""
+    stdout = "\n".join([
+        '# w seed=1 trace=0 sizes={"n": 2} env={"python": "3"}',
+        "  op_p50_ms                                     12.5 ms",
+        "  op_p50_ms[a]                     3.0 over 10 ops",
+        "  fail_frac                        0.0 (0 of 20 ops; 0 of them the known cqng stall)",
+        "  ERROR op 3: wrong",
+        json.dumps(result_line(12.5, 80.0))])
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kw: subprocess.CompletedProcess(cmd, 0, stdout, ""))
+    run, env = bench_pairs.perfbench(Path("."), "w", 1, 1, 0)
+    assert env == {"python": "3"}
+    assert run["notes"] == {"op_p50_ms[a]": "3.0 over 10 ops",
+                            "fail_frac": "0.0 (0 of 20 ops; 0 of them the known cqng stall)"}
+    pairs = [{"workload": "w", "seed": s, "pair": s, "first": "parent",
+              "parent": {**run, "notes": {"op_p50_ms[a]": f"{p} over 10 ops"}},
+              "change": {**run, "notes": {"op_p50_ms[a]": f"{c} over 10 ops"}}}
+             for s, (p, c) in enumerate([(3.0, 2.0), (4.0, 4.0), (5.0, 1.0)])]
+    kind = bench_pairs.summarize(pairs, {"op_p50_ms": "lower"})["w"]["op_p50_ms[a]"]
+    assert kind["parent"]["median"] == 4.0 and kind["change"]["median"] == 2.0
+    assert kind["change_better_pairs"] == "2/3"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symflow import circuit, estimators, liealg, pauli, tangent
+from symflow import circuit, estimators, liealg, pauli, symgrad, tangent
 from conftest import (
     cost_partial_commutator,
     random_circuit,
@@ -162,10 +162,14 @@ def test_effective_generator_errors(rng):
     with pytest.raises(ValueError):
         circuit.effective_generator(c, theta, 0, "middle")
     # a parameter index outside 0..p-1, or not an integer, is rejected on every route
+    sym = tangent.SymmetrySpec(liealg.subspace(2, [1j * Z]), "left")
     for j in (5, 3, -1, 1.0, True, "1"):
         for call in (lambda: circuit.effective_generator(c, theta, j, "right"),
                      lambda: circuit.state_partial(c, theta, j, PLUS),
-                     lambda: estimators.hadamard_omega(c, theta, j, 1j * Z, PLUS, "theta")):
+                     lambda: estimators.hadamard_omega(c, theta, j, 1j * Z, PLUS, "theta"),
+                     lambda: circuit.cost_partial(c, theta, j, PLUS, pauli.parse_pauli_sum("Z", 1)),
+                     lambda: symgrad.covariant_derivative_state(sym, c, theta, j, PLUS),
+                     lambda: symgrad.equivariant_derivative_state(sym, c, theta, j, PLUS)):
             with pytest.raises(ValueError, match="parameter index"):
                 call()
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symflow import liealg, nummat, pauli
 from symflow.nummat import ContractViolation, expm_skew, orthonormal_rows, trace_inner
-from conftest import pauli_subspace, random_skew, span_of, su2_tensor_subspace
+from conftest import commutant_oracle, pauli_subspace, random_skew, span_of, su2_tensor_subspace
 
 
 I2 = np.eye(2, dtype=complex)
@@ -303,6 +304,87 @@ def test_commutant_closed_form_dims_n4(words, closed_form):
     assert liealg.commutant(t).dim == closed_form
     fd = liealg.four_decomposition(t)
     assert fd.ut_centerless.dim + fd.center_t.dim == closed_form
+
+
+@pytest.mark.parametrize("words, closed_form", [
+    ([collective(ch, 5) for ch in "XYZ"], 42),  # collective su(2): Catalan C_5
+    ([collective("Z", 5)], 252),                # total-Z u(1): C(10, 5)
+    (["ZZZZZ"], 512),                           # i*Z^{(x)5}: d^2 / 2
+])
+def test_commutant_closed_form_dims_n5(words, closed_form):
+    assert liealg.commutant(pauli_subspace(32, words)).dim == closed_form
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["su2", "u1", "parity"])
+def test_commutant_matches_dense_route_on_bench_symmetries(kind, n):
+    words = {"su2": [collective(ch, n) for ch in "XYZ"], "u1": [collective("Z", n)],
+             "parity": ["Z" * n]}[kind]
+    t = pauli_subspace(2**n, words)
+    got, want = liealg.commutant(t), commutant_oracle(t)
+    assert got.dim == want.dim
+    assert liealg.span_distance(got, want) <= 1e-12
+
+
+def exact_word_rows(rows) -> np.ndarray:
+    """The Pauli-word index of each row, asserting that every row is a
+    signed coordinate unit vector, exactly."""
+    assert np.all(np.sum(rows != 0, axis=1) == 1)
+    assert np.all(np.abs(rows[rows != 0]) == 1.0)
+    return np.nonzero(rows)[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_word_spanned_commutant_comes_back_as_words(n):
+    """The commutant of i*Z^{(x)n} is the d^2/2 words commuting with Z^{(x)n}."""
+    words = pauli.all_words(n)
+    index = exact_word_rows(liealg.commutant(pauli_subspace(2**n, ["Z" * n])).rows)
+    want = [a for a, w in enumerate(words) if pauli.commuting([w, "Z" * n])]
+    assert sorted(index) == want and len(want) == 2 ** (2 * n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_total_z_commutant_leads_with_its_z_words(n):
+    comm = liealg.commutant(pauli_subspace(2**n, [collective("Z", n)]))
+    z_words = [a for a, w in enumerate(pauli.all_words(n)) if set(w) <= {"I", "Z"}]
+    assert sorted(exact_word_rows(comm.rows[:2**n])) == z_words
+    assert np.max(np.abs(comm.rows[2**n:, z_words]), initial=0.0) < 1e-12
+    assert comm.dim == {2: 6, 3: 20, 4: 70}[n]  # C(2n, n)
+
+
+def drawn_subspace(kind: str, n: int, rng) -> liealg.Subspace:
+    """A subspace of u(2**n): the span or the closure of a few Pauli sums,
+    of dense random skew matrices, the empty subspace or all of u(d)."""
+    d = 2**n
+    if kind == "empty":
+        return liealg.Subspace(d, ())
+    if kind == "full":
+        return liealg.full_space(d)
+    if kind == "dense":
+        return span_of([random_skew(d, rng) for _ in range(rng.integers(1, 4))], d)
+    sums = [sum(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+                * pauli.word_matrix("".join(rng.choice(list("IXYZ"), n)))
+                for _ in range(rng.integers(1, 4))) for _ in range(rng.integers(1, 4))]
+    gens = [1j * m for m in sums if np.max(np.abs(m)) > 0]
+    if not gens:
+        return liealg.Subspace(d, ())
+    return liealg.lie_closure(gens) if kind == "closed" else span_of(gens, d)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 3),
+       kind=st.sampled_from(["sums", "closed", "dense", "empty", "full"]))
+def test_commutant_matches_ad_matrix_oracle(seed, n, kind):
+    """Same dims and span as the dense ad-matrix nullspace, also after an
+    orthogonal re-basis of the input rows, which moves the generic element."""
+    rng = np.random.default_rng(seed)
+    t = drawn_subspace(kind, n, rng)
+    want = commutant_oracle(t)
+    q, _ = np.linalg.qr(rng.standard_normal((t.dim, t.dim)))
+    for sub in (t, liealg.Subspace(t.dim_ambient, q @ t.rows)):
+        got = liealg.commutant(sub)
+        assert got.dim == want.dim
+        assert liealg.span_distance(got, want) <= 1e-12
 
 
 # Differential tests: the row-based projections against the per-element
