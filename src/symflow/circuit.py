@@ -31,7 +31,8 @@ from math import cos, sin
 import numpy as np
 
 from . import liealg, pauli
-from .nummat import embed_real, orthonormal_frame, require_finite, unembed
+from .nummat import (embed_real, is_finite_real, is_integer, orthonormal_frame, require_finite,
+                     unembed)
 
 DENSE_QUBIT_CAP = 10
 SPECTRUM_CACHE_SIZE = 256
@@ -43,8 +44,9 @@ Statevector = np.ndarray
 class Gate:
     """One gate: exp(i * scale * angle * H) with Hermitian generator H.
 
-    Exactly one of ``param`` (trainable angle index) and ``angle`` (fixed
-    angle) must be set.
+    Exactly one of ``param`` (trainable angle index, an integer) and
+    ``angle`` (fixed angle, a finite number) must be set; ``wires`` are
+    integers and ``scale`` is a finite number.
     """
 
     generator: pauli.PauliSum
@@ -57,13 +59,19 @@ class Gate:
         object.__setattr__(self, "wires", tuple(self.wires))
         if (self.param is None) == (self.angle is None):
             raise ValueError("gate needs exactly one of param index or fixed angle")
+        if self.param is not None and not is_integer(self.param):
+            raise ValueError(f"gate param must be an integer, got {self.param!r}")
+        if not (is_finite_real(self.scale) and (self.angle is None or is_finite_real(self.angle))):
+            raise ValueError(f"non-finite entry in gate angle and scale, or not a real number: "
+                             f"angle={self.angle!r}, scale={self.scale!r}")
+        if not all(is_integer(w) for w in self.wires):
+            raise ValueError(f"gate wires must be integers, got {self.wires!r}")
         if len(set(self.wires)) != len(self.wires):
             raise ValueError(f"repeated wires {self.wires}")
         if self.generator.n_qubits != len(self.wires):
             raise ValueError("generator qubit count does not match wires")
         if not self.generator.is_hermitian():
             raise ValueError("gate generator must be Hermitian (real coefficients)")
-        require_finite([self.scale, self.angle or 0.0], "gate angle and scale")
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,7 @@ def build_unitary(c: CircuitSpec, theta) -> np.ndarray:
 def _gate_index(c: CircuitSpec, j) -> int | None:
     """Position of the gate that parameter j drives, None if it drives none;
     ValueError unless j is an integer in 0..n_params-1."""
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < c.n_params:
+    if not (is_integer(j) and 0 <= j < c.n_params):
         raise ValueError(f"parameter index {j!r} is not an integer in 0..{c.n_params - 1}")
     return next((k for k, g in enumerate(c.gates) if g.param == j), None)
 

@@ -6,8 +6,9 @@ Subcommands:
   optimize   gd / qng / cqng run with a CSV trajectory and a summary line
 
 Problems are JSON files (see README); the literal spec path ``entangling``
-loads the built-in two-qubit maximal-entangling demo.  The loader checks
-the JSON type of every block and field it reads.  Exit codes: 0 success,
+loads the built-in two-qubit maximal-entangling demo, which is README's
+problem file and goes through the same loader.  The loader checks the JSON
+type of every block and field it reads.  Exit codes: 0 success,
 2 malformed problem or bad ``SYMFLOW_TOL``, 3 algebra contract error or
 failed algebra computation, 4 optimizer did not converge.  The
 ``SYMFLOW_TOL`` environment variable sets the relative rank tolerance of
@@ -20,12 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import circuit, liealg, natgrad, pauli, symgrad
-from .nummat import ContractViolation, GramSchmidt, rank_tol
+from .nummat import ContractViolation, GramSchmidt, is_finite_real, is_integer, rank_tol
 from .tangent import SymmetrySpec
 
 
@@ -34,21 +35,12 @@ class SpecError(ValueError):
 
 
 @dataclass
-class OptimizerConfig:
-    method: str = "gd"
-    lr: float = 0.5
-    max_iter: int = 2000
-    tol: float = 1e-9
-    seed: int | None = 0
-
-
-@dataclass
 class Problem:
     circuit: circuit.CircuitSpec
     initial_state_spec: object
     symmetry: SymmetrySpec | None = None
     cost: circuit.CostSpec | None = None
-    optimizer: OptimizerConfig | None = None
+    optimizer: natgrad.OptimizerConfig | None = None
 
     def initial_state(self, seed_override: int | None = None) -> np.ndarray:
         return resolve_initial_state(
@@ -72,8 +64,9 @@ def resolve_initial_state(spec, n_qubits: int, seed_override: int | None = None)
         if pair and len(entry) != 2:
             raise SpecError(f"amplitude entry {entry!r} is not a [re, im] pair")
         real, imag = entry if pair else (entry, 0.0)
-        amps.append(complex(_finite(real, "initial_state amplitude"),
-                            _finite(imag, "initial_state amplitude")))
+        if not (is_finite_real(real) and is_finite_real(imag)):
+            raise SpecError(f"initial_state amplitude {entry!r} is not a finite number")
+        amps.append(complex(real, imag))
     psi = np.asarray(amps, dtype=complex)
     if psi.shape != (2**n_qubits,):
         raise SpecError(f"state has {psi.size} amplitudes, expected {2 ** n_qubits}")
@@ -96,35 +89,13 @@ def symmetry_from_strings(strings, action: str, n_qubits: int) -> SymmetrySpec:
     return SymmetrySpec(liealg.Subspace(d, rows), action)
 
 
-def _finite(value, name: str) -> float:
-    """A finite JSON number (int or float, not bool) as a float."""
-    try:
-        x = float(value) if _is_number(value) else float("nan")
-    except OverflowError:  # an int beyond the float range
-        x = float("inf")
-    if not np.isfinite(x):
-        raise SpecError(f"{name} must be a finite number, got {value!r}")
-    return x
-
-
 def _parse_gate(entry: dict) -> circuit.Gate:
     try:
         wires = tuple(entry["wires"])
-        if not all(_is_int(w) for w in wires):
-            raise SpecError(f"wires must be JSON integers, got {entry['wires']!r}")
         if not isinstance(entry["h"], str):
             raise SpecError(f"h must be a Pauli-sum string, got {entry['h']!r}")
-        gen = pauli.parse_pauli_sum(entry["h"], len(wires))
-        param, angle = entry.get("param"), entry.get("angle")
-        if param is not None and not _is_int(param):
-            raise SpecError(f"param must be an integer, got {param!r}")
-        return circuit.Gate(
-            generator=gen,
-            wires=wires,
-            param=param,
-            angle=None if angle is None else _finite(angle, "angle"),
-            scale=_finite(entry.get("scale", -1.0), "scale"),
-        )
+        return circuit.Gate(pauli.parse_pauli_sum(entry["h"], len(wires)), wires,
+                            entry.get("param"), entry.get("angle"), entry.get("scale", -1.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad gate entry {entry!r}: {exc}") from exc
 
@@ -146,9 +117,9 @@ def problem_from_dict(data: dict) -> Problem:
         if not isinstance(cdata, dict):
             raise SpecError(f"bad circuit block {cdata!r}: expected an object")
         n, p, cap = cdata["n_qubits"], cdata["n_params"], circuit.DENSE_QUBIT_CAP
-        if not (_is_int(n) and 1 <= n <= cap):
+        if not (is_integer(n) and 1 <= n <= cap):
             raise SpecError(f"n_qubits must be an integer in 1..{cap}, got {n!r}")
-        if not (_is_int(p) and p >= 0):
+        if not (is_integer(p) and p >= 0):
             raise SpecError(f"n_params must be an integer >= 0, got {p!r}")
         c = circuit.CircuitSpec(n, tuple(_parse_gate(g) for g in cdata.get("gates", [])), p)
         if p > len(c.gates):  # each parameter drives at most one gate
@@ -175,13 +146,14 @@ def problem_from_dict(data: dict) -> Problem:
     if "observable" in data:
         entry = data["observable"]
         squared = isinstance(entry, dict) and entry.get("kind") == "squared_sum"
-        if not (isinstance(entry, str) or squared and entry.get("terms")):
-            raise SpecError(f"bad observable entry {entry!r} (a squared_sum needs terms)")
+        texts = entry.get("terms") if squared else [entry]
+        if not (isinstance(texts, list) and texts and all(isinstance(t, str) for t in texts)):
+            raise SpecError(f"bad observable entry {entry!r}: expected a Pauli-sum string or "
+                            "a squared_sum whose terms are a non-empty list of them")
         try:
-            texts = entry["terms"] if squared else [entry]
             terms = tuple(pauli.parse_pauli_sum(t, n) for t in texts)
             cost = circuit.SquaredSumCost(terms) if squared else circuit.ExpectationCost(terms[0])
-        except (AttributeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SpecError(f"bad observable {entry!r}: {exc}") from exc
 
     opt = None
@@ -189,14 +161,8 @@ def problem_from_dict(data: dict) -> Problem:
         block = data["optimizer"]
         if not isinstance(block, dict):
             raise SpecError(f"bad optimizer block {block!r}")
-        opt = OptimizerConfig(
-            method=block.get("method", "gd"),
-            lr=_finite(block.get("lr", 0.5), "optimizer lr"),
-            max_iter=block.get("max_iter", 2000),
-            tol=_finite(block.get("tol", 1e-9), "optimizer tol"),
-            seed=block.get("seed"),
-        )
-        check_optimizer(opt)
+        names = [f.name for f in fields(natgrad.OptimizerConfig)]
+        opt = natgrad.OptimizerConfig(**{k: block[k] for k in names if k in block})
         if opt.method == "cqng" and sym is None:
             raise SpecError("cqng requires a symmetry block")
 
@@ -206,47 +172,21 @@ def problem_from_dict(data: dict) -> Problem:
     return Problem(c, data["initial_state"], sym, cost, opt)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def check_optimizer(cfg: OptimizerConfig) -> None:
-    """Reject optimizer settings the run cannot use: ``seed`` an int or
-    None, ``lr`` finite and > 0, ``tol`` finite and >= 0 (0 runs all
-    ``max_iter`` steps), ``max_iter`` an int >= 0."""
-    if cfg.method not in ("gd", "qng", "cqng"):
-        raise SpecError(f"unknown optimizer method {cfg.method!r}")
-    if cfg.seed is not None and not _is_int(cfg.seed):
-        raise SpecError(f"optimizer seed must be an integer or null, got {cfg.seed!r}")
-    if not (np.isfinite(cfg.lr) and cfg.lr > 0):
-        raise SpecError(f"optimizer lr must be finite and > 0, got {cfg.lr!r}")
-    if not (np.isfinite(cfg.tol) and cfg.tol >= 0):
-        raise SpecError(f"optimizer tol must be finite and >= 0, got {cfg.tol!r}")
-    if not _is_int(cfg.max_iter) or cfg.max_iter < 0:
-        raise SpecError(f"optimizer max_iter must be an integer >= 0, got {cfg.max_iter!r}")
-
-
 def entangling_problem(seed: int = 0) -> Problem:
-    """Built-in two-qubit demo: drive the first qubit's Bloch vector to
-    zero, which forces the controlled-X angle to pi and maximal
+    """Built-in two-qubit demo, README's problem file with ``seed`` filled
+    in: drive the first qubit's Bloch vector to zero, which forces the
+    controlled-X angle (generator X (x) |1><1| / 2) to pi and maximal
     entanglement."""
-    crx_gen = pauli.parse_pauli_sum("0.25*XI - 0.25*XZ", 2)  # X (x) |1><1| / 2
-    gates = (
-        circuit.rotation("Y", (0,), param=0),
-        circuit.rotation("Y", (1,), param=1),
-        circuit.Gate(crx_gen, (0, 1), param=2),
-    )
-    c = circuit.CircuitSpec(2, gates, 3)
-    sym = symmetry_from_strings(["i*XI", "i*YI", "i*ZI"], "left", 2)
-    cost = circuit.SquaredSumCost(tuple(
-        pauli.parse_pauli_sum(w, 2) for w in ("XI", "YI", "ZI")
-    ))
-    return Problem(c, f"random_product:{seed}", sym, cost,
-                   OptimizerConfig(method="gd", lr=0.5, max_iter=2000, tol=1e-9, seed=seed))
+    return problem_from_dict({
+        "circuit": {"n_qubits": 2, "n_params": 3, "gates": [
+            {"h": "0.5*Y", "wires": [0], "param": 0},
+            {"h": "0.5*Y", "wires": [1], "param": 1},
+            {"h": "0.25*XI - 0.25*XZ", "wires": [0, 1], "param": 2, "scale": -1.0}]},
+        "initial_state": f"random_product:{seed}",
+        "symmetry": {"generators": ["i*XI", "i*YI", "i*ZI"], "action": "left"},
+        "observable": {"kind": "squared_sum", "terms": ["XI", "YI", "ZI"]},
+        "optimizer": {"method": "gd", "lr": 0.5, "max_iter": 2000, "tol": 1e-9, "seed": seed},
+    })
 
 
 def pre_entangler_circuit(c: circuit.CircuitSpec) -> circuit.CircuitSpec:
@@ -314,13 +254,10 @@ def cmd_optimize(args) -> int:
     problem = load_problem(args.spec)
     if problem.cost is None or problem.optimizer is None:
         raise SpecError("optimize needs observable and optimizer blocks")
-    cfg = problem.optimizer
-    seed = args.seed if args.seed is not None else cfg.seed
-    lr = args.lr if args.lr is not None else cfg.lr
-    max_iter = args.max_iter if args.max_iter is not None else cfg.max_iter
-    check_optimizer(OptimizerConfig(cfg.method, lr, max_iter, cfg.tol, seed))
+    flags = {"seed": args.seed, "lr": args.lr, "max_iter": args.max_iter}
+    cfg = replace(problem.optimizer, **{k: v for k, v in flags.items() if v is not None})
     c = problem.circuit
-    psi0 = problem.initial_state(seed)
+    psi0 = problem.initial_state(cfg.seed)
 
     monitor = None
     if c.n_qubits >= 2:
@@ -334,8 +271,8 @@ def cmd_optimize(args) -> int:
                     "Z2_pre": z2.value_and_covector(psi)[0]}
 
     trace = natgrad.optimize(
-        cfg.method, c, None, psi0, problem.cost, lr=lr, max_iter=max_iter,
-        tol=cfg.tol, sym=problem.symmetry, seed=seed, monitor=monitor,
+        cfg.method, c, None, psi0, problem.cost, lr=cfg.lr, max_iter=cfg.max_iter,
+        tol=cfg.tol, sym=problem.symmetry, seed=cfg.seed, monitor=monitor,
     )
     _write(trace.to_csv(), args.out or "trace.csv")
 

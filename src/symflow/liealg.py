@@ -301,14 +301,9 @@ def twirl_project(x, commutant_basis: Subspace) -> np.ndarray:
     return project_onto(x, commutant_basis)
 
 
-def span_projector(sub: Subspace) -> np.ndarray:
-    """Coordinate-space orthogonal projector onto the subspace."""
-    return sub.rows.T @ sub.rows
-
-
 def span_distance(a: Subspace, b: Subspace) -> float:
     """Max-norm distance between the projectors of two subspaces."""
-    pa, pb = span_projector(a), span_projector(b)
+    pa, pb = a.rows.T @ a.rows, b.rows.T @ b.rows
     return float(np.max(np.abs(pa - pb))) if pa.size else float(a.dim != b.dim)
 
 

@@ -1,6 +1,7 @@
 """Metrics and optimizers: the projective state-space metric, its
 symmetry-projected generalization, and gradient-descent / natural-gradient
-/ covariant-natural-gradient loops with trajectory recording.
+/ covariant-natural-gradient loops with trajectory recording, whose
+settings are checked in one place (:class:`OptimizerConfig`).
 
 The natural-gradient step keeps the explicit 1/2 prefactor
 theta' = theta - lr * (1/2) * F^+ grad, rather than folding it into the
@@ -16,14 +17,41 @@ import numpy as np
 
 from . import circuit, pauli, symgrad, tangent
 from .circuit import CostSpec
-from .nummat import pinv_psd
+from .nummat import is_finite_real, is_integer, pinv_psd
 from .tangent import SymmetrySpec
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """Settings of an optimizer run, checked when built: ``method`` one of
+    gd, qng, cqng; ``lr`` (the learning rate) a finite number > 0;
+    ``max_iter`` an integer >= 0; ``tol`` a finite number >= 0 (0 runs all
+    ``max_iter`` steps); ``seed`` (of the initial angles) an integer or None.
+    A bool or a string is neither a number nor an integer."""
+
+    method: str = "gd"
+    lr: float = 0.5
+    max_iter: int = 2000
+    tol: float = 1e-9
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.method not in ("gd", "qng", "cqng"):
+            raise ValueError(f"unknown optimizer method {self.method!r}")
+        if not (is_finite_real(self.lr) and self.lr > 0):
+            raise ValueError(f"optimizer lr (learning rate) must be a finite number > 0, "
+                             f"got {self.lr!r}")
+        if not (is_integer(self.max_iter) and self.max_iter >= 0):
+            raise ValueError(f"optimizer max_iter must be an integer >= 0, got {self.max_iter!r}")
+        if not (is_finite_real(self.tol) and self.tol >= 0):
+            raise ValueError(f"optimizer tol must be a finite number >= 0, got {self.tol!r}")
+        if not (self.seed is None or is_integer(self.seed)):
+            raise ValueError(f"optimizer seed must be an integer or None, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class MetricMatrix:
     entries: np.ndarray
-    kind: str  # "fubini_study" or "covariant"
 
 
 @dataclass
@@ -77,18 +105,13 @@ def fubini_study(c: circuit.CircuitSpec, theta, psi0) -> MetricMatrix:
     """F_jk = Re<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>, which is the
     covariant metric of the global-phase symmetry."""
     ev = circuit.evaluate(c, theta, psi0, _global_phase(c.dim))
-    return MetricMatrix(_metric(ev), "fubini_study")
+    return MetricMatrix(_metric(ev))
 
 
 def covariant_metric(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> MetricMatrix:
     """Gram matrix of the covariant state derivatives:
     F^S_jk = Re<d_j psi|d_k psi> - sum_a Re<d_j psi|T_a> Re<T_a|d_k psi>."""
-    return MetricMatrix(_metric(tangent.evaluate(sym, c, theta, psi0)), "covariant")
-
-
-def _check_lr(lr: float) -> None:
-    if not (np.isfinite(lr) and lr > 0):
-        raise ValueError(f"learning rate must be finite and > 0, got {lr!r}")
+    return MetricMatrix(_metric(tangent.evaluate(sym, c, theta, psi0)))
 
 
 def _drive(method: str, sym: SymmetrySpec | None, c: circuit.CircuitSpec, theta: np.ndarray,
@@ -112,7 +135,7 @@ def _natural_step(ev: circuit.Evaluation, theta: np.ndarray, grad: np.ndarray,
 
 def _one_step(method: str, sym: SymmetrySpec | None, c: circuit.CircuitSpec, theta, psi0,
               m: pauli.PauliSum, lr: float) -> np.ndarray:
-    _check_lr(lr)
+    OptimizerConfig(method, lr)  # ValueError unless lr is a finite number > 0
     theta = circuit.check_theta(c, theta)
     ev, _, grad = _drive(method, sym, c, theta, psi0, circuit.ExpectationCost(m))
     return _natural_step(ev, theta, grad, lr)
@@ -145,18 +168,12 @@ def optimize(method: str, c: circuit.CircuitSpec, theta0, psi0, cost_spec: CostS
     Records one row per visited point (including the final one reached by
     the last step).  The driving gradient is the plain gradient for gd and
     qng and the covariant gradient for cqng.  ``monitor(theta)`` returns
-    the named extra columns of a row.  As in ``cli.check_optimizer``, lr must
-    be finite and > 0, max_iter an int >= 0 and tol finite and >= 0.
+    the named extra columns of a row.  The settings must pass
+    :class:`OptimizerConfig`.
     """
-    if method not in ("gd", "qng", "cqng"):
-        raise ValueError(f"unknown method {method!r}")
+    OptimizerConfig(method, lr, max_iter, tol, seed)  # ValueError for a bad setting
     if method == "cqng" and sym is None:
         raise ValueError("cqng requires a symmetry")
-    _check_lr(lr)
-    if not isinstance(max_iter, (int, np.integer)) or isinstance(max_iter, bool) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     theta = sample_theta0(c.n_params, seed) if theta0 is None else \
         circuit.check_theta(c, theta0).copy()
     trace = OptTrace()

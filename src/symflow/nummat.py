@@ -1,7 +1,8 @@
 """Dense numerical kernel: skew-Hermitian matrix tools, the real embedding
 of state tangents, the PSD pseudo-inverse, nullspaces, row spaces (also
-with the coefficients that produce them) and complements, and
-Gram-Schmidt orthonormalization.
+with the coefficients that produce them) and complements,
+Gram-Schmidt orthonormalization, and the one rule each for what counts
+as a number and as an integer (``is_finite_real``, ``is_integer``).
 
 Every numerical-rank decision of the library is made here, by one rule
 (``_kept``): a singular value, a Gram-Schmidt residual or an eigenvalue of
@@ -51,6 +52,21 @@ def _as_square(x, name: str = "matrix") -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"{name} must be square, got shape {x.shape}")
     return x
+
+
+def is_integer(x) -> bool:
+    """The one integer rule: a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_finite_real(x) -> bool:
+    """The one number rule: a finite real int or float (numpy ones included)
+    that is not a bool; an int beyond the float range is not finite."""
+    try:
+        return (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+                and bool(np.isfinite(float(x))))
+    except OverflowError:
+        return False
 
 
 def require_finite(x, name: str = "matrix", dtype=complex) -> np.ndarray:

@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from . import circuit, liealg
-from .circuit import TangentFrame
 from .nummat import (ContractViolation, complement_rows, embed_real, nullspace_real,
                      orthonormal_rows, unembed)
 
@@ -68,16 +67,6 @@ def evaluate(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
     """One sweep at (c, theta, psi0) whose frame holds the action tangents
     of ``z_basis(sym, basis_kind)``."""
     return circuit.evaluate(c, theta, psi0, z_basis(sym, basis_kind), sym.action)
-
-
-def vertical_frame(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> TangentFrame:
-    """Frame of the symmetry-generated (vertical) tangent subspace."""
-    return evaluate(sym, c, theta, psi0).frame
-
-
-def equivariant_frame(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0) -> TangentFrame:
-    """Frame of the commutant-generated (equivariant) tangent subspace."""
-    return evaluate(sym, c, theta, psi0, "equivariant").frame
 
 
 def _action_tangents(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0, *stacks):

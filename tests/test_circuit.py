@@ -335,6 +335,9 @@ def test_circuit_validation():
         circuit.Gate(pauli.parse_pauli_sum("X", 1), (0,), param=0, angle=0.1)
     with pytest.raises(ValueError):  # non-Hermitian generator
         circuit.Gate(pauli.parse_pauli_sum("i*X", 1), (0,), param=0)
+    for param in (True, 1.0):  # a parameter index is an integer, not a bool or a float
+        with pytest.raises(ValueError, match="param must be an integer"):
+            circuit.Gate(pauli.parse_pauli_sum("X", 1), (0,), param=param)
 
 
 def test_theta_validation():

@@ -318,6 +318,10 @@ MALFORMED = {
     "observable-non-hermitian": ("observable", lambda d: d.update(observable="i*Z")),
     "observable-no-terms": ("observable", lambda d: d.update(
         observable={"kind": "squared_sum", "terms": []})),
+    "observable-terms-str": ("observable", lambda d: d.update(
+        observable={"kind": "squared_sum", "terms": "XZ"})),
+    "observable-terms-object": ("observable", lambda d: d.update(
+        observable={"kind": "squared_sum", "terms": {"X": 1}})),
     "state-int": ("initial_state", lambda d: d.update(initial_state=5)),
     "generators-int": ("symmetry", lambda d: d.update(symmetry={"generators": 5})),
     "generators-int-list": ("symmetry", lambda d: d.update(symmetry={"generators": [5]})),

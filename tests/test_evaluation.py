@@ -101,7 +101,7 @@ def test_sweep_at_singlet_stabilizer():
     obs = random_observable(2, rng)
     c = random_circuit(2, 3, rng, n_fixed=1)
     sym = collective_su2(2, "theta")
-    assert tangent.vertical_frame(sym, c, rng.uniform(0, 2 * np.pi, 3), singlet).rank == 0
+    assert tangent.evaluate(sym, c, rng.uniform(0, 2 * np.pi, 3), singlet).frame.rank == 0
     check_point(c, rng.uniform(0, 2 * np.pi, 3), singlet, sym, obs)
     # exchange rotations keep the output a singlet: rank 0 under the left action too
     exchange = circuit.CircuitSpec(2, (
@@ -111,7 +111,7 @@ def test_sweep_at_singlet_stabilizer():
     ), 2)
     sym = collective_su2(2, "left")
     theta = rng.uniform(0, 2 * np.pi, 2)
-    assert tangent.vertical_frame(sym, exchange, theta, singlet).rank == 0
+    assert tangent.evaluate(sym, exchange, theta, singlet).frame.rank == 0
     check_point(exchange, theta, singlet, sym, obs)
 
 

@@ -176,7 +176,7 @@ def test_optimize_method_validation(rng):
         natgrad.optimize("gd", c, [0.1], circuit.basis_state("0"), cost, lr=-1.0)
 
 
-@pytest.mark.parametrize("lr", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("lr", [-1.0, 0.0, float("nan"), float("inf"), True, "0.5"])
 def test_steps_and_optimize_reject_bad_lr(rng, lr):
     c = random_circuit(1, 2, rng)
     theta, psi0 = [0.1, 0.2], circuit.basis_state("0")
@@ -192,9 +192,10 @@ def test_steps_and_optimize_reject_bad_lr(rng, lr):
 
 
 @pytest.mark.parametrize("bad", [{"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
-                                 {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")}],
+                                 {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+                                 {"tol": True}, {"tol": "1e-9"}],
                          ids=["max_iter=-1", "max_iter=2.5", "max_iter=True", "tol=nan",
-                              "tol=-1", "tol=inf"])
+                              "tol=-1", "tol=inf", "tol=True", "tol=str"])
 def test_optimize_rejects_bad_max_iter_and_tol(rng, bad):
     c = random_circuit(1, 2, rng)
     cost = circuit.ExpectationCost(pauli.parse_pauli_sum("Z", 1))

@@ -129,7 +129,7 @@ def test_covariant_state_derivative_orthogonal_to_vertical(rng):
         theta = rng.uniform(0, 2 * np.pi, 3)
         psi0 = random_state(2, rng)
         sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
-        frame = tangent.vertical_frame(sym, c, theta, psi0)
+        frame = tangent.evaluate(sym, c, theta, psi0).frame
         for j in range(3):
             d = symgrad.covariant_derivative_state(sym, c, theta, j, psi0)
             for v in frame.onb:
@@ -431,14 +431,14 @@ def test_frame_condition_near_the_rank_cut():
     c, theta, _ = _near_cut_example(1e-7)
     sym = tangent.SymmetrySpec(liealg.subspace(4, [1j * pauli.to_matrix(
         pauli.parse_pauli_sum("ZI + IZ", 2)) / np.sqrt(2)]), "left")
-    frame = tangent.equivariant_frame(sym, c, theta, circuit.basis_state("00"))
+    frame = tangent.evaluate(sym, c, theta, circuit.basis_state("00"), "equivariant").frame
     svals = np.linalg.svd(nummat.embed_real(frame.raw), compute_uv=False)
     assert frame.rank == 5
     assert frame.cond == pytest.approx(svals[0] / svals[4], rel=1e-9)
     assert frame.cond == pytest.approx(1.26e7, rel=1e-2)
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)  # fixed by U (x) U: a rank-0 frame
     sym_su2 = tangent.SymmetrySpec(su2_tensor_subspace(), "left")
-    assert tangent.vertical_frame(sym_su2, circuit.CircuitSpec(2, (), 0), [], singlet).cond == 1.0
+    assert tangent.evaluate(sym_su2, circuit.CircuitSpec(2, (), 0), [], singlet).frame.cond == 1.0
 
 
 def test_covariant_derivative_is_equivariant_map(rng):

@@ -62,7 +62,7 @@ def test_symmetry_spec_requires_closure():
 def test_vertical_frame_u1_on_plus(rng):
     c = single_qubit_example()
     theta = rng.uniform(0, 2 * np.pi, 3)
-    fr = tangent.vertical_frame(tangent.SymmetrySpec(T_Z, "theta"), c, theta, PLUS)
+    fr = tangent.evaluate(tangent.SymmetrySpec(T_Z, "theta"), c, theta, PLUS).frame
     assert fr.rank == 1
     u = circuit.build_unitary(c, theta)
     assert same_tangent_span(list(fr.onb), [u @ (1j * MINUS)])
@@ -70,14 +70,14 @@ def test_vertical_frame_u1_on_plus(rng):
 
 def test_vertical_frame_su2_on_01():
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), "theta")
-    fr = tangent.vertical_frame(sym, ID2, [], circuit.basis_state("01"))
+    fr = tangent.evaluate(sym, ID2, [], circuit.basis_state("01")).frame
     assert fr.rank == 2
     assert same_tangent_span(list(fr.onb), [1j * bell(1), bell(-1)])
 
 
 def test_vertical_frame_rank_zero_on_singlet():
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), "theta")
-    fr = tangent.vertical_frame(sym, ID2, [], singlet())
+    fr = tangent.evaluate(sym, ID2, [], singlet()).frame
     assert fr.rank == 0
     assert len(fr.onb) == 0
 
@@ -87,7 +87,7 @@ def test_vertical_rank_deficit_counts_stabilizer():
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), "theta")
     for psi, deficit in ((circuit.basis_state("01"), 1), (singlet(), 3),
                          (random_state(2, np.random.default_rng(1)), 0)):
-        fr = tangent.vertical_frame(sym, ID2, [], psi)
+        fr = tangent.evaluate(sym, ID2, [], psi).frame
         assert fr.rank <= sym.generators.dim
         cols = np.stack([embed_real(z @ psi) for z in sym.generators.basis], axis=1)
         assert nullspace_real(cols).shape[0] == deficit
@@ -98,7 +98,7 @@ def test_equivariant_frame_u1_theta(rng):
     c = single_qubit_example()
     theta = rng.uniform(0, 2 * np.pi, 3)
     sym = tangent.SymmetrySpec(T_Z, "theta")
-    fr = tangent.equivariant_frame(sym, c, theta, PLUS)
+    fr = tangent.evaluate(sym, c, theta, PLUS, "equivariant").frame
     assert fr.rank == 2
     u = circuit.build_unitary(c, theta)
     assert same_tangent_span(list(fr.onb), [u @ (1j * PLUS), u @ (1j * MINUS)])
@@ -108,14 +108,14 @@ def test_equivariant_frame_left_gram(rng):
     c = single_qubit_example()
     theta = rng.uniform(0, 2 * np.pi, 3)
     sym = tangent.SymmetrySpec(T_Z, "left")
-    fr = tangent.equivariant_frame(sym, c, theta, PLUS)
+    fr = tangent.evaluate(sym, c, theta, PLUS, "equivariant").frame
     a = np.sin(theta[0]) * np.cos(theta[1])
     assert np.allclose(np.diag(fr.gram), [1.0, 1.0], atol=1e-12)
     assert fr.gram[0, 1] == pytest.approx(-a, abs=1e-12) or \
         fr.gram[0, 1] == pytest.approx(a, abs=1e-12)
     # rank drops at the singular envelope s1 c2 = +-1
     sing = np.array([np.pi / 2, 0.0, 0.4])
-    fr_sing = tangent.equivariant_frame(sym, c, sing, PLUS)
+    fr_sing = tangent.evaluate(sym, c, sing, PLUS, "equivariant").frame
     assert fr_sing.rank == 1
 
 
@@ -126,7 +126,7 @@ def test_equivariant_frame_keeps_short_directions(eps):
     1e-10 rank cut, so the frame has rank 2 and spans its raw tangents."""
     c = circuit.CircuitSpec(1, (circuit.rotation("Y", (0,), param=0),), 1)
     sym = tangent.SymmetrySpec(T_Z, "left")
-    fr = tangent.equivariant_frame(sym, c, [eps], circuit.basis_state("0"))
+    fr = tangent.evaluate(sym, c, [eps], circuit.basis_state("0"), "equivariant").frame
     assert fr.rank == 2
     onb = np.concatenate([fr.onb.real, fr.onb.imag], axis=1)
     raw = np.concatenate([fr.raw.real, fr.raw.imag], axis=1)
@@ -138,7 +138,7 @@ def test_equivariant_frame_global_phase(rng):
     c = single_qubit_example()
     theta = rng.uniform(0, 2 * np.pi, 3)
     sym = tangent.SymmetrySpec(liealg.subspace(2, [1j * I2]), "left")
-    fr = tangent.equivariant_frame(sym, c, theta, PLUS)
+    fr = tangent.evaluate(sym, c, theta, PLUS, "equivariant").frame
     # commutant of global phases is all of u(2): tangents span the full
     # unitary tangent space, rank 2d - 1 = 3
     assert fr.rank == 3
@@ -152,7 +152,7 @@ def test_theta_action_gram_is_theta_independent(rng):
     grams = []
     for _ in range(10):
         theta = rng.uniform(0, 2 * np.pi, 3)
-        grams.append(tangent.vertical_frame(sym, c, theta, PLUS).gram)
+        grams.append(tangent.evaluate(sym, c, theta, PLUS).frame.gram)
     for g in grams[1:]:
         assert np.max(np.abs(g - grams[0])) < 1e-12
 
