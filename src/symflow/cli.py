@@ -48,10 +48,18 @@ class Problem:
         )
 
 
+def _seed_from_text(text: str, name: str) -> int:
+    """The seed rule for text: an integer >= 0 written in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise SpecError(f"{name} must be an integer >= 0 written in digits, got {text!r}")
+    return int(text)
+
+
 def resolve_initial_state(spec, n_qubits: int, seed_override: int | None = None) -> np.ndarray:
     if isinstance(spec, str):
         if spec.startswith("random_product:"):
-            seed = int(spec.split(":", 1)[1]) if seed_override is None else seed_override
+            seed = _seed_from_text(spec.split(":", 1)[1], "initial_state seed")
+            seed = seed if seed_override is None else seed_override
             return circuit.random_product_state(n_qubits, seed)
         if len(spec) != n_qubits:
             raise SpecError(f"basis label {spec!r} has wrong length for {n_qubits} qubits")
@@ -308,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--theta", default=None, help="comma-separated angles")
     p_grad.add_argument("--kind", choices=("partial", "equivariant", "covariant"),
                         default="partial")
-    p_grad.add_argument("--seed", type=int, default=None)
+    p_grad.add_argument("--seed", default=None)
     p_grad.add_argument("--out", default=None)
     p_grad.set_defaults(func=cmd_grad)
 
     p_opt = sub.add_parser("optimize", help="run the configured optimizer")
     p_opt.add_argument("spec")
     p_opt.add_argument("--out", default=None, help="trace CSV path (default trace.csv)")
-    p_opt.add_argument("--seed", type=int, default=None)
+    p_opt.add_argument("--seed", default=None)
     p_opt.add_argument("--lr", type=float, default=None)
     p_opt.add_argument("--max-iter", type=int, default=None)
     p_opt.set_defaults(func=cmd_optimize)
@@ -326,6 +334,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rank_tol()  # a bad SYMFLOW_TOL fails here, before any work
+        if getattr(args, "seed", None) is not None:
+            args.seed = _seed_from_text(args.seed, "--seed")
         return args.func(args)
     except (ContractViolation, liealg.AlgebraFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,11 @@ from .nummat import (
     HERM_TOL,
     ContractViolation,
     GramSchmidt,
-    complement_rows,
     embed_real,
+    four_way_split,
+    intersect_rows,
     nullspace_real,
+    orthogonal_part,
     orthonormal_rows,
     require_finite,
     require_skew_hermitian,
@@ -238,22 +240,15 @@ def is_subalgebra(sub: Subspace) -> bool:
     return True
 
 
-def _part_within(sub: Subspace, other: Subspace) -> Subspace:
-    """The elements of ``sub`` that lie in ``other``: the combinations of
-    sub's rows whose residuals off ``other`` cancel."""
-    residual = sub.rows - (sub.rows @ other.rows.T) @ other.rows
-    return subspace_from_rows(nullspace_real(residual.T) @ sub.rows, sub.dim_ambient)
-
-
 def center(sub: Subspace) -> Subspace:
     """Elements of the subspace commuting with all of the subspace: its
     intersection with its commutant, for any subspace."""
-    return _part_within(sub, commutant(sub))
+    return subspace_from_rows(intersect_rows(sub.rows, commutant(sub).rows), sub.dim_ambient)
 
 
 def complement_within(sub: Subspace, inner: Subspace) -> Subspace:
     """Orthogonal complement of ``inner`` inside ``sub``."""
-    return subspace_from_rows(complement_rows(sub.rows, inner.rows), sub.dim_ambient)
+    return subspace_from_rows(orthogonal_part(sub.rows, inner.rows), sub.dim_ambient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,18 +271,14 @@ def four_decomposition(t: Subspace) -> FourDecomposition:
     d = t.dim_ambient
     if not is_subalgebra(t):
         raise ContractViolation("symmetry subspace is not closed under the bracket")
-    # the center z is the part of t in u_t; for a closed t, [t, t] is
-    # orthogonal to u_t, so the residuals of t's rows off u_t have singular
-    # values 0 (along z) or 1 and the cut cannot fall between them
-    u_t = commutant(t)
-    z = _part_within(t, u_t)
-    ut_centerless = complement_within(u_t, z)
-    t_centerless = complement_within(t, z)
-    r = subspace_from_rows(nullspace_real(np.vstack([u_t.rows, t.rows])), d)
-    total = r.dim + ut_centerless.dim + z.dim + t_centerless.dim
+    # for a closed t, [t, t] is orthogonal to u_t: the residuals of t's rows
+    # off u_t have singular values 0 (along the center) or 1, so the cut
+    # cannot fall between them, and u_t minus the center is u_t ∩ t^perp
+    parts = [subspace_from_rows(rows, d) for rows in four_way_split(t.rows, commutant(t).rows)]
+    total = sum(part.dim for part in parts)
     if total != d * d:
         raise AlgebraFailure(f"decomposition dimensions sum to {total}, expected {d * d}")
-    return FourDecomposition(r, ut_centerless, z, t_centerless)
+    return FourDecomposition(*parts)
 
 
 def twirl_project(x, commutant_basis: Subspace) -> np.ndarray:

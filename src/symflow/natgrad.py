@@ -26,7 +26,8 @@ class OptimizerConfig:
     """Settings of an optimizer run, checked when built: ``method`` one of
     gd, qng, cqng; ``lr`` (the learning rate) a finite number > 0;
     ``max_iter`` an integer >= 0; ``tol`` a finite number >= 0 (0 runs all
-    ``max_iter`` steps); ``seed`` (of the initial angles) an integer or None.
+    ``max_iter`` steps); ``seed`` (of the initial angles) an integer >= 0
+    or None.
     A bool or a string is neither a number nor an integer."""
 
     method: str = "gd"
@@ -45,8 +46,8 @@ class OptimizerConfig:
             raise ValueError(f"optimizer max_iter must be an integer >= 0, got {self.max_iter!r}")
         if not (is_finite_real(self.tol) and self.tol >= 0):
             raise ValueError(f"optimizer tol must be a finite number >= 0, got {self.tol!r}")
-        if not (self.seed is None or is_integer(self.seed)):
-            raise ValueError(f"optimizer seed must be an integer or None, got {self.seed!r}")
+        if not (self.seed is None or (is_integer(self.seed) and self.seed >= 0)):
+            raise ValueError(f"optimizer seed must be an integer >= 0 or None, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 """Dense numerical kernel: skew-Hermitian matrix tools, the real embedding
 of state tangents, the PSD pseudo-inverse, nullspaces, row spaces (also
-with the coefficients that produce them) and complements,
-Gram-Schmidt orthonormalization, and the one rule each for what counts
-as a number and as an integer (``is_finite_real``, ``is_integer``).
+with the coefficients that produce them), intersections, orthogonal parts
+and the one four-way split of two spans (for u(d) and for state tangents),
+Gram-Schmidt orthonormalization, and the one rule each for what counts as
+a number and as an integer (``is_finite_real``, ``is_integer``).
 
 Every numerical-rank decision of the library is made here, by one rule
 (``_kept``): a singular value, a Gram-Schmidt residual or an eigenvalue of
@@ -171,10 +172,24 @@ def orthonormal_frame(m) -> tuple[np.ndarray, np.ndarray]:
     return vh[:rank], (u[:, :rank] / svals[:rank]).T
 
 
-def complement_rows(rows: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the part of span(rows) orthogonal to the
-    orthonormal rows ``inner``."""
-    return orthonormal_rows(rows - (rows @ inner.T) @ inner)
+def intersect_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal rows of span(a) ∩ span(b), both given by orthonormal
+    rows: the combinations of a's rows whose residuals off b cancel."""
+    return nullspace_real((a - (a @ b.T) @ b).T) @ a
+
+
+def orthogonal_part(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal rows of the part of span(a) orthogonal to every row of b."""
+    return nullspace_real(b @ a.T) @ a
+
+
+def four_way_split(a: np.ndarray, b: np.ndarray, outside=()) -> tuple[np.ndarray, ...]:
+    """Mutually orthogonal parts of two spans of orthonormal rows: the
+    complement of outside + a + b (solved on the stack outside, b, a),
+    b ∩ a^perp, a ∩ b, and the rest of a."""
+    both = intersect_rows(a, b)
+    return (nullspace_real(np.vstack([*outside, b, a])), orthogonal_part(b, a), both,
+            orthogonal_part(a, both))
 
 
 class GramSchmidt:

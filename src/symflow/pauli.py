@@ -47,24 +47,10 @@ class PauliSum:
     def is_skew_hermitian(self) -> bool:
         return all(abs(c.real) <= COEFF_PRUNE_TOL for _, c in self.terms)
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        merged = self.coeffs()
-        for word, c in other.terms:
-            merged[word] = merged.get(word, 0.0) + c
-        return pauli_sum(self.n_qubits, merged)
-
     def __mul__(self, scalar: complex) -> "PauliSum":
         return pauli_sum(self.n_qubits, {w: scalar * c for w, c in self.terms})
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "PauliSum":
-        return self * (-1.0)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-other)
 
     def __str__(self) -> str:
         return format_pauli_sum(self)

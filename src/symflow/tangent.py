@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import circuit, liealg
-from .nummat import (ContractViolation, complement_rows, embed_real, nullspace_real,
-                     orthonormal_rows, unembed)
+from .nummat import (ContractViolation, embed_real, four_way_split, nullspace_real,
+                     orthogonal_part, orthonormal_rows, unembed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,50 +69,26 @@ def evaluate(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0,
     return circuit.evaluate(c, theta, psi0, z_basis(sym, basis_kind), sym.action)
 
 
-def _action_tangents(sym: SymmetrySpec, c: circuit.CircuitSpec, theta, psi0, *stacks):
-    """The state phi at the action point, psi and, for each stack of algebra
-    elements x, the action tangents of x as rows, from one batched pass:
-    the rows x phi join phi at the action point, and every later gate acts
-    on the whole batch."""
-    point = circuit.action_point(c, sym.action)
-    phi = circuit.apply_gates(c, theta, psi0, 0, point)
-    rows = circuit.apply_gates(c, theta, np.vstack([phi, *(x @ phi for x in stacks)]), point)
-    return phi, rows[0], *np.split(rows[1:], np.cumsum([len(x) for x in stacks])[:-1])
-
-
 def state_tangent_rows(psi) -> np.ndarray:
     """Orthonormal rows spanning the unitary tangent space at a state,
     embedded in R^{2d}; this is the real orthocomplement of psi itself."""
     return nullspace_real(embed_real(psi)[None, :])
 
 
-def _orthogonal_part(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Orthonormal rows of span(rows) intersected with the orthocomplement
-    of span(other), both given by orthonormal rows."""
-    return nullspace_real(other @ rows.T) @ rows
-
-
 def state_four_decomposition(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
                              psi0) -> StateFourDecomposition:
-    """Orthogonal four-way split of the unitary tangent space at the state.
-
-    Each part is a nullspace of a small row product of the vertical and
-    equivariant spans, whose tangents come from one pass."""
-    _, psi, vertical, equivariant = _action_tangents(sym, c, theta, psi0, sym.generators.basis,
-                                                     sym.commutant.basis)
-    t_rows = state_tangent_rows(psi)
-    v_rows, e_rows = (orthonormal_rows(embed_real(x)) for x in (vertical, equivariant))
-    h_rows = complement_rows(t_rows, v_rows)
-
-    # the equivariant tangents lie in the tangent space, split as v + h
-    equi_rows = _orthogonal_part(e_rows, h_rows)
-    both_rows = _orthogonal_part(e_rows, v_rows)
-    cov_rows = _orthogonal_part(h_rows, e_rows)
-    vert_rows = _orthogonal_part(v_rows, equi_rows)
-
-    parts = [tuple(unembed(rows)) for rows in (cov_rows, both_rows, equi_rows, vert_rows)]
-    residual = t_rows.shape[0] - sum(map(len, parts))
-    return StateFourDecomposition(*parts, residual_dim=residual)
+    """Orthogonal four-way split of the unitary tangent space at the state,
+    psi's real orthocomplement, so its part in neither the vertical span V
+    nor the equivariant span E is the complement of psi + V + E.  One batched
+    pass carries psi and the action tangents x phi from the action point."""
+    point = circuit.action_point(c, sym.action)
+    phi = circuit.apply_gates(c, theta, psi0, 0, point)
+    gens, comm = sym.generators.basis, sym.commutant.basis
+    rows = circuit.apply_gates(c, theta, np.vstack([phi, gens @ phi, comm @ phi]), point)
+    v_rows, e_rows = (orthonormal_rows(embed_real(x)) for x in np.split(rows[1:], [len(gens)]))
+    psi_row = embed_real(rows[0])[None]
+    parts = [tuple(unembed(part)) for part in four_way_split(v_rows, e_rows, outside=psi_row)]
+    return StateFourDecomposition(*parts, residual_dim=2 * c.dim - 1 - sum(map(len, parts)))
 
 
 def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
@@ -126,21 +102,21 @@ def induced_algebra_split(sym: SymmetrySpec, c: circuit.CircuitSpec, theta,
     orthogonal complement under the trace inner product.  Zero-tangent
     directions outside the symmetry algebra therefore count as vertical
     when they are shadowed by a genuine symmetry tangent, while trivially
-    acting symmetry generators never do.  One pass gives the action
-    tangents of an orthonormal basis of t + u_t; the tangents of the
-    symmetry basis are read from them, since t lies in t + u_t.
+    acting symmetry generators never do.  Everything below is built from the
+    state phi at the action point and real inner products of the tangents
+    x phi, which the later gates preserve, so no tangent goes through the
+    circuit; the tangents of t are read from those of t + u_t, which holds t.
     """
     t_rows = sym.generators.rows
     span_rows = orthonormal_rows(np.vstack([t_rows, sym.commutant.rows]))
-    phi, _, tangents = _action_tangents(sym, c, theta, psi0, liealg.from_coords(span_rows, c.dim))
+    phi = circuit.apply_gates(c, theta, psi0, 0, circuit.action_point(c, sym.action))
+    tangents = liealg.from_coords(span_rows, c.dim) @ phi
     v_emb = embed_real((t_rows @ span_rows.T) @ tangents)
     v_rows = orthonormal_rows(v_emb)
     p_v = v_rows.T @ v_rows
 
     # symmetry directions acting nontrivially: t minus its stabilizer part
-    # (an empty nullspace has shape (0, k), so these products stay well shaped)
-    t0_rows = nullspace_real(v_emb.T) @ t_rows
-    active_t = t_rows - (t_rows @ t0_rows.T) @ t0_rows
+    active_t = orthogonal_part(t_rows, nullspace_real(v_emb.T) @ t_rows)
 
     # symmetry-plus-commutant directions with vertical tangents ...
     cols = embed_real(tangents).T

@@ -441,6 +441,12 @@ def test_random_product_state_deterministic():
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_evaluate_rejects_generators_of_another_dimension():
+    c = circuit.CircuitSpec(1, (circuit.rotation("Y", (0,), param=0),), 1)
+    with pytest.raises(ValueError, match="symmetry generators do not match the state dimension"):
+        circuit.evaluate(c, [0.3], circuit.basis_state("0"), [1j * np.eye(4)], "left")
+
+
 def test_unknown_action_rejected_with_one_message():
     c = circuit.CircuitSpec(1, (circuit.rotation("Y", (0,), param=0),), 1)
     z = 1j * Z

@@ -266,6 +266,7 @@ def optimizer_spec(tmp_path, **fields):
 @pytest.mark.parametrize("field, value", [
     ("seed", "abc"),
     ("seed", 1.5),
+    ("seed", -1),
     ("max_iter", -3),
     ("max_iter", "7"),
     ("tol", "inf"),
@@ -292,6 +293,43 @@ def test_optimize_bad_override_exit_2(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["grad", "optimize"])
+@pytest.mark.parametrize("seed", ["-1", "1_0", " 1", "abc"])
+def test_bad_seed_flag_exit_2(tmp_path, capsys, command, seed):
+    """A --seed value is an integer >= 0 written in ASCII digits."""
+    out = tmp_path / "out.txt"
+    assert cli.main([command, "entangling", "--seed", seed, "--out", str(out)]) == 2
+    assert f"--seed must be an integer >= 0 written in digits, got {seed!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+BARE_PROBLEM = {"circuit": {"n_qubits": 1, "n_params": 1,
+                            "gates": [{"h": "0.5*X", "wires": [0], "param": 0}]},
+                "initial_state": "0"}
+SYMMETRY_Z = {"generators": ["i*Z"], "action": "left"}
+OPTIMIZER_GD = {"method": "gd", "lr": 0.1, "seed": 0}
+
+
+@pytest.mark.parametrize("argv, blocks, missing", [
+    (["decompose"], {"observable": "Z"}, "a symmetry block"),
+    (["grad"], {"symmetry": SYMMETRY_Z}, "an observable block"),
+    (["grad", "--kind", "covariant"], {"observable": "Z"}, "a symmetry block"),
+    (["grad", "--kind", "equivariant"], {"observable": "Z"}, "a symmetry block"),
+    (["optimize"], {"optimizer": OPTIMIZER_GD}, "observable and optimizer blocks"),
+    (["optimize"], {"observable": "Z"}, "observable and optimizer blocks"),
+], ids=["decompose", "grad", "grad-covariant", "grad-equivariant", "optimize-no-observable",
+        "optimize-no-optimizer"])
+def test_missing_block_exit_2(tmp_path, capsys, argv, blocks, missing):
+    """A command whose problem lacks a block it needs exits 2, names the
+    block and writes no output file."""
+    spec = write_spec(tmp_path, {**BARE_PROBLEM, **blocks})
+    out = tmp_path / "out.txt"
+    assert cli.main([argv[0], spec, *argv[1:], "--out", str(out)]) == 2
+    assert f"needs {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -314,6 +352,10 @@ MALFORMED = {
     "amp-bool": ("initial_state", lambda d: d.update(initial_state=[True, False])),
     "amp-str": ("initial_state", lambda d: d.update(initial_state=["1", "0"])),
     "amp-pair-bool": ("initial_state", lambda d: d.update(initial_state=[[True, 0], [0, 0]])),
+    "random-product-negative": ("initial_state", lambda d: d.update(
+        initial_state="random_product:-1")),
+    "random-product-str": ("initial_state", lambda d: d.update(
+        initial_state="random_product:abc")),
     "coeff-nan": ("nan", lambda d: d.update(observable="Z + nan*Y")),
     "observable-non-hermitian": ("observable", lambda d: d.update(observable="i*Z")),
     "observable-no-terms": ("observable", lambda d: d.update(

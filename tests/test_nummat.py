@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symflow import circuit, estimators, liealg, nummat, pauli
-from conftest import random_skew, sqrt_pinv_psd
+from conftest import _intersect_by_projectors, random_skew, sqrt_pinv_psd
 
 
 X = pauli.word_matrix("X")
@@ -163,6 +163,33 @@ def test_embed_real_on_stacks(rng):
     assert np.array_equal(emb[1], nummat.embed_real(vecs[1]))
     assert np.array_equal(nummat.unembed(emb), vecs)
     assert np.allclose(emb @ emb.T, np.real(vecs.conj() @ vecs.T), atol=1e-14)
+
+
+@pytest.mark.parametrize("with_outside", [False, True])
+def test_four_way_split_matches_projector_oracle(with_outside, rng):
+    """Spans a, b of R^12 meet in a planted plane; b also holds a direction
+    tilted between a and its complement, which lies in no part."""
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0].T
+    tilt = np.cos(0.7) * q[3] + np.sin(0.7) * q[4]
+    a = nummat.orthonormal_rows(np.vstack([q[0] + q[2], q[1], q[2], q[3]]))
+    b = nummat.orthonormal_rows(np.vstack([q[0], q[1] - tilt, tilt, q[5]]))
+    outside = q[6:7] if with_outside else np.zeros((0, 12))
+    parts = nummat.four_way_split(a, b, outside=outside)
+    assert [len(part) for part in parts] == [5 if with_outside else 6, 1, 2, 2]
+
+    eye = np.eye(12)
+    p_a, p_b = a.T @ a, b.T @ b
+    evals, vecs = np.linalg.eigh(outside.T @ outside + p_a + p_b)
+    both = _intersect_by_projectors(p_a, p_b)[0]
+    want = (vecs[:, evals < 1e-8].T, _intersect_by_projectors(p_b, eye - p_a)[0], both,
+            _intersect_by_projectors(p_a, eye - both.T @ both)[0])
+    for part, rows in zip(parts, want):
+        assert np.max(np.abs(part.T @ part - rows.T @ rows)) < 1e-12
+    stacked = np.vstack(parts)  # orthonormal within and across the parts
+    assert np.max(np.abs(stacked @ stacked.T - np.eye(len(stacked)))) < 1e-12
+    for part, span in [(parts[1], p_b), (parts[2], p_a), (parts[2], p_b), (parts[3], p_a)]:
+        assert np.max(np.abs(part @ span - part)) < 1e-12
+    assert np.max(np.abs(parts[0] @ np.vstack([outside, a, b]).T), initial=0.0) < 1e-12
 
 
 def test_orthonormal_frame_identity_gram():

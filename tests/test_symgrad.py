@@ -473,3 +473,13 @@ def test_report_serialization_round_trip(rng):
     assert set(payload) == {"m", "omega", "gram", "vector_potential", "partial", "projected"}
     assert np.allclose(payload["vector_potential"],
                        pinv_psd(rep.gram) @ rep.omega, atol=1e-12)
+
+
+def test_unknown_basis_or_report_kind_rejected():
+    c = single_qubit_example()
+    psi0 = circuit.basis_state("0")
+    with pytest.raises(ValueError, match="kind must be 'covariant' or 'equivariant'"):
+        symgrad.projected_cost_report("partial", sym_z(), c, np.zeros(3), psi0,
+                                      pauli.parse_pauli_sum("Z", 1))
+    with pytest.raises(ValueError, match="basis_kind must be 'vertical' or 'equivariant'"):
+        symgrad.overlap_omega(sym_z(), c, np.zeros(3), psi0, basis_kind="x")

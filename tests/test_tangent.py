@@ -298,8 +298,9 @@ def test_induced_split_su2_at_01():
 @pytest.mark.parametrize("action", ["theta", "left"])
 @pytest.mark.parametrize("split", [tangent.state_four_decomposition, tangent.induced_algebra_split])
 def test_split_takes_one_pass(split, action, rng, monkeypatch):
-    """Each split carries psi and its action tangents in one batched pass:
-    one gate application per gate, and no evaluation sweep."""
+    """No split builds an evaluation sweep.  The state split carries psi and
+    its action tangents in one batched pass, one gate application per gate;
+    the induced split applies only the gates before the action point."""
     c = random_circuit(2, 3, rng, n_fixed=2)
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
     sym.commutant  # solved before counting; it applies no gates
@@ -307,15 +308,17 @@ def test_split_takes_one_pass(split, action, rng, monkeypatch):
     monkeypatch.setattr(circuit, "apply_gate", lambda *a: calls.append(1) or apply_gate(*a))
     monkeypatch.setattr(circuit, "evaluate", lambda *a, **k: pytest.fail("evaluate called"))
     split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
-    assert len(calls) == len(c.gates) == 5
+    want = circuit.action_point(c, action) if split is tangent.induced_algebra_split else 5
+    assert len(c.gates) == 5 and len(calls) == want
 
 
 @pytest.mark.parametrize("action", ["theta", "left"])
 def test_induced_split_carries_only_symmetry_and_commutant(action, rng, monkeypatch):
-    """The split needs no basis of u(d): its batch holds phi and an
-    orthonormal basis of t + u_t, 1 + 5 rows for collective su(2) on two
-    qubits, where u_t = span{i I, i SWAP}; the t tangents are read from
-    those of t + u_t, which contains t."""
+    """The split needs no basis of u(d) and carries no tangent through the
+    circuit: it forms the tangents of an orthonormal basis of t + u_t at
+    the action point, where the gates after it would preserve their inner
+    products.  Under theta it applies no gate; under left each gate acts
+    once, on the single row phi."""
     c = random_circuit(2, 3, rng, n_fixed=2)
     sym = tangent.SymmetrySpec(su2_tensor_subspace(), action)
     sym.commutant  # solved before counting
@@ -324,8 +327,7 @@ def test_induced_split_carries_only_symmetry_and_commutant(action, rng, monkeypa
                         lambda psi, *a: batches.append(np.shape(psi)) or apply_gate(psi, *a))
     monkeypatch.setattr(liealg, "skew_basis", lambda d: pytest.fail("skew_basis called"))
     tangent.induced_algebra_split(sym, c, rng.uniform(0, 2 * np.pi, 3), random_state(2, rng))
-    # under left the action point is the output, so the batch meets no gate
-    assert batches == ([(1 + 5, 4)] * 5 if action == "theta" else [(4,)] * 5)
+    assert batches == ([] if action == "theta" else [(4,)] * 5)
 
 
 def test_induced_split_su2_at_singlet():
